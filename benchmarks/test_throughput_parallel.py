@@ -37,7 +37,6 @@ _MEASURED = {}
 
 BACKENDS = [
     ("inline", None),
-    ("threads", PARALLELISM),
     ("processes", PARALLELISM),
 ]
 

@@ -45,15 +45,15 @@ def snapshot_blob(task: object) -> bytes:
 
     Raises :class:`CheckpointError` naming the task type when the state
     is not pickle-safe (e.g. windowed operators holding factory
-    closures) -- the caller should fall back to the ``inline`` /
-    ``threads`` executors for such plans.
+    closures) -- the caller should fall back to the ``inline``
+    executor for such plans.
     """
     try:
         return pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise CheckpointError(
             f"task state of {type(task).__name__} is not pickle-safe "
-            f"({exc}); run this plan with executor='inline' or 'threads'"
+            f"({exc}); run this plan with executor='inline'"
         ) from exc
 
 

@@ -77,7 +77,7 @@ class ExecutionOptions:
     #: micro-batch granularity; None = the front-end default (1 for the
     #: finite engine's golden per-tuple path, 64 for streaming)
     batch_size: Optional[int] = None
-    #: execution backend: 'inline' | 'threads' | 'processes' (staged
+    #: execution backend: 'inline' | 'processes' (staged
     #: waves for finite plans, resident checkpointed workers for
     #: streaming); None = 'inline'
     executor: Optional[str] = None

@@ -577,12 +577,12 @@ def run_plan(plan: PhysicalPlan, max_tuples: Optional[int] = None,
     windowed operator's input arrives in event-time order (windows
     directly over a source, the common case).
 
-    ``executor`` picks the execution backend (``"inline"``, ``"threads"``
-    or ``"processes"``) and ``parallelism`` the number of shared-nothing
-    workers; see :mod:`repro.storm.executor`.  Every backend yields the
+    ``executor`` picks the execution backend (``"inline"`` or
+    ``"processes"``) and ``parallelism`` the number of shared-nothing
+    workers; see :mod:`repro.storm.executor`.  Both backends yield the
     same result multiset and per-component totals; the process backend
     additionally requires pickle-safe task state (windowed components
-    hold factory closures and are inline/threads-only).
+    hold factory closures and are inline-only).
 
     ``columnar`` selects the columnar execution path (vectorized
     selections, hashing, join probes); the default (None) turns it on

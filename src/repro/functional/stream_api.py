@@ -205,7 +205,7 @@ class Stream:
         queries: returns a :class:`repro.streaming.StreamingQuery`
         emitting live result deltas.  Accepts the same optimizer
         overrides plus ``batch_size``, ``executor`` ('inline' |
-        'threads') and ``rate`` (replayed rows/second per source)."""
+        'processes') and ``rate`` (replayed rows/second per source)."""
         return _stream(self._context, self.logical_plan(), option_overrides)
 
 
@@ -282,9 +282,9 @@ def _stream(context: QueryContext, logical: LogicalPlan, overrides: dict):
 
     if "parallelism" in overrides:
         raise ValueError(
-            "the streaming runtime has no parallelism knob: "
-            "executor='threads' runs every task in its own worker thread "
-            "(drop parallelism=, or use .execute() for the staged backends)"
+            "the functional streaming terminal has no parallelism knob "
+            "(drop parallelism=, or use .execute() for the staged "
+            "'processes' backend)"
         )
     merged = _execution_options(
         context, overrides, ("batch_size", "executor", "rate", "columnar"))

@@ -51,8 +51,7 @@ class Observer:
         self.trace = level == "trace"
         self.registry = registry if registry is not None else MetricsRegistry()
         self.traces = traces if traces is not None else TraceBuffer()
-        # span ids: "c.N" for coordinator-recorded spans (itertools.count
-        # is atomic under the GIL, so thread workers share it safely)
+        # span ids: "c.N" for coordinator-recorded spans
         self._span_seq = itertools.count(1)
         # per-(component, task) root-batch sequence: the deterministic
         # trace-id formula "<source>.<task>.<seq>" shared with WorkerObs

@@ -1,9 +1,9 @@
 """Batch-level tracing: span contexts, span records, and the buffer.
 
 A :class:`SpanContext` is the two-string tag that rides a micro-batch
-through the dataplane — over the inline work stack, through the thread
-executors' queues, and across the resident-process pipes (it pickles
-to a tiny tuple).  Each operator hop appends one *span record* — a
+through the dataplane — over the inline work stack and across the
+staged and resident worker-process pipes (it pickles to a tiny
+tuple).  Each operator hop appends one *span record* — a
 plain dict, so worker replies can carry them without a custom codec —
 to the :class:`TraceBuffer`, whose JSON export makes one source batch
 followable spout→join→agg→sink with per-hop timings.

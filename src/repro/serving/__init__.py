@@ -10,7 +10,7 @@ fan-out subscriptions.
 
 Typical in-process use::
 
-    broker = QueryBroker(options=ExecutionOptions(executor="threads"))
+    broker = QueryBroker(options=ExecutionOptions(executor="processes"))
     session = repro.connect(catalog, broker=broker, tenant="alice")
     with session.stream("SELECT k, COUNT(*) FROM t GROUP BY k") as sub:
         for delta in sub:

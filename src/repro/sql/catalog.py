@@ -86,8 +86,8 @@ class SqlSession:
                 aggregation -- see :mod:`repro.sql.parser`).
             options: execution knobs as one
                 :class:`~repro.core.options.ExecutionOptions` -- batch
-                size, backend (``'inline'`` | ``'threads'`` |
-                ``'processes'``; all return the same result multiset),
+                size, backend (``'inline'`` | ``'processes'``; both
+                return the same result multiset),
                 parallelism and the columnar toggle.  Overlays the
                 session's ``execution`` defaults.
             batch_size / executor / parallelism / columnar: the
@@ -102,7 +102,7 @@ class SqlSession:
         Raises:
             SqlError: on parse/name-resolution failures.
             ExecutorError: when the chosen backend cannot run the plan
-                (e.g. adaptive partitioners on 'threads'/'processes').
+                (e.g. adaptive partitioners on 'processes').
 
         Example::
 

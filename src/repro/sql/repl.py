@@ -18,7 +18,7 @@ Meta-commands (everything else is executed as SQL):
     \\set mode <name>        multiway | pipeline
     \\set local <name>       dbtoaster | traditional
     \\set batch_size <n>     micro-batch granularity (>= 1)
-    \\set executor <name>    inline | threads | processes
+    \\set executor <name>    inline | processes
     \\set parallelism <n>    shared-nothing workers (auto = pick)
     \\set columnar <v>       vectorized path: auto | on | off
     \\set rate <n>           \\watch replay rows/sec (none = unthrottled)
@@ -313,8 +313,8 @@ class SquallShell:
                          "keep a topology resident; watching inline")
             execution = execution.replace(executor="inline")
         if execution.parallelism is not None:
-            notes.append("-- note: the streaming runtime has no parallelism "
-                         "knob; watching with per-task worker threads")
+            notes.append("-- note: the inline watch has no parallelism "
+                         "knob; ignoring it")
             execution = execution.replace(parallelism=None)
         try:
             query = self.session.stream(sql, options=execution)

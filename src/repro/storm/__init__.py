@@ -35,8 +35,6 @@ from repro.storm.executor import (
     ExecutorError,
     ProcessExecutor,
     Router,
-    StagedExecutor,
-    ThreadExecutor,
 )
 from repro.storm.metrics import TopologyMetrics
 
@@ -45,8 +43,6 @@ __all__ = [
     "ExecutorError",
     "ProcessExecutor",
     "Router",
-    "StagedExecutor",
-    "ThreadExecutor",
     "Bolt",
     "ListSpout",
     "Spout",

@@ -17,8 +17,8 @@ interleaving differs.
 
 ``run(executor=...)`` selects the execution backend: ``inline`` (this
 module's single-threaded loop, the default), or the staged shared-nothing
-``threads`` / ``processes`` backends of :mod:`repro.storm.executor`,
-which spread the tasks across parallel workers exchanging micro-batches.
+``processes`` backend of :mod:`repro.storm.executor`, which spreads the
+tasks across forked workers exchanging micro-batches.
 """
 
 from __future__ import annotations
@@ -120,9 +120,9 @@ class LocalCluster:
         emitting more rows than ``batch_size`` forwards them as one batch.
 
         ``executor`` selects the backend: ``"inline"`` (default) runs
-        every task in this thread; ``"threads"`` / ``"processes"`` spread
-        the tasks over ``parallelism`` shared-nothing workers (see
-        :mod:`repro.storm.executor`).  All backends produce the same
+        every task in this thread; ``"processes"`` spreads the tasks over
+        ``parallelism`` shared-nothing worker processes (see
+        :mod:`repro.storm.executor`).  Both backends produce the same
         result multiset and per-component totals.
 
         ``columnar`` turns the columnar execution path on/off; the
@@ -188,18 +188,15 @@ class LocalCluster:
                 self.metrics.record_batch(name, task_index)
                 pulled += len(emissions)
                 items = self._route_emissions(name, emissions)
-                if observer is None:
-                    self._push(stack, items)
-                    self._drain(stack)
-                else:
+                self._push(stack, items)
+                if observer is not None:
                     observer.on_execute(name, task_index, len(emissions),
                                         pull_time)
                     ctx = observer.root(name, task_index, len(emissions),
                                         pull_time)
-                    self._push(stack, items)
                     if trace:
                         ctx_stack.extend([ctx] * len(items))
-                    self._drain_observed(stack, ctx_stack, observer)
+                self._drain(stack, ctx_stack)
                 if max_tuples is not None and pulled >= max_tuples:
                     return self.metrics
                 # a short batch normally means exhaustion, but a columnar
@@ -253,22 +250,19 @@ class LocalCluster:
         self.metrics.record_batch(source, task_index)
         stack: List[_WorkItem] = []
         items = self._route_emissions(source, emissions)
-        observer = self._observer
-        if observer is None:
-            self._push(stack, items)
-            self._drain(stack)
-            return
-        ctx = None
-        if self.topology.components[source].is_spout:
-            # a new source batch starts a new trace; watermark-driven
-            # injections (bolt components) stay untraced punctuations
-            observer.on_execute(source, task_index, len(emissions), 0.0)
-            ctx = observer.root(source, task_index, len(emissions), 0.0)
-        ctx_stack: Optional[list] = [] if observer.trace else None
         self._push(stack, items)
-        if ctx_stack is not None:
-            ctx_stack.extend([ctx] * len(items))
-        self._drain_observed(stack, ctx_stack, observer)
+        observer = self._observer
+        ctx_stack: Optional[list] = None
+        if observer is not None:
+            ctx = None
+            if self.topology.components[source].is_spout:
+                # a new source batch starts a new trace; watermark-driven
+                # injections (bolt components) stay untraced punctuations
+                observer.on_execute(source, task_index, len(emissions), 0.0)
+                ctx = observer.root(source, task_index, len(emissions), 0.0)
+            if observer.trace:
+                ctx_stack = [ctx] * len(items)
+        self._drain(stack, ctx_stack)
 
     def flush_bolts(self):
         """Run every bolt's ``finish()`` in topological order (end of
@@ -289,14 +283,11 @@ class LocalCluster:
                 self.metrics.record_emit(name, task_index, len(emissions))
                 items = self._route_emissions(name, emissions)
                 self._push(stack, items)
-                if observer is None:
-                    self._drain(stack)
-                else:
+                if ctx_stack is not None:
                     # flush emissions are end-of-stream punctuations, not
                     # part of any source batch's trace
-                    if ctx_stack is not None:
-                        ctx_stack.extend([None] * len(items))
-                    self._drain_observed(stack, ctx_stack, observer)
+                    ctx_stack.extend([None] * len(items))
+                self._drain(stack, ctx_stack)
 
     # -- work queue --------------------------------------------------------
 
@@ -306,29 +297,17 @@ class LocalCluster:
         if items:
             stack.extend(reversed(items))
 
-    def _drain(self, stack: List[_WorkItem]):
-        """Run pending work to exhaustion (iterative depth-first)."""
-        tasks = self._tasks
-        metrics = self.metrics
-        while stack:
-            target, task, source, stream, rows = stack.pop()
-            metrics.record_receive(source, target, task, len(rows))
-            metrics.record_batch(target, task)
-            metrics.record_path(isinstance(rows, ColumnBatch), len(rows))
-            bolt: Bolt = tasks[target][task]
-            emissions = bolt.execute_batch(source, stream, rows)
-            if emissions:
-                metrics.record_emit(target, task, len(emissions))
-                self._push(stack, self._route_emissions(target, emissions))
+    def _drain(self, stack: List[_WorkItem],
+               ctx_stack: Optional[list] = None):
+        """Run pending work to exhaustion (iterative depth-first).
 
-    def _drain_observed(self, stack: List[_WorkItem],
-                        ctx_stack: Optional[list], observer: Observer):
-        """The observed twin of :meth:`_drain`: same scheduling, plus
-        per-batch timing, queue-depth sampling, and (at the trace level)
-        one span per hop.  ``ctx_stack`` stays aligned 1:1 with the work
-        stack; a ``None`` context marks an untraced punctuation batch."""
+        Under an observer every batch is also timed and the queue depth
+        sampled; at the trace level each hop records one span, and
+        ``ctx_stack`` stays aligned 1:1 with the work stack (a ``None``
+        context marks an untraced punctuation batch)."""
         tasks = self._tasks
         metrics = self.metrics
+        observer = self._observer
         trace = ctx_stack is not None
         while stack:
             target, task, source, stream, rows = stack.pop()
@@ -336,20 +315,21 @@ class LocalCluster:
             metrics.record_receive(source, target, task, len(rows))
             metrics.record_batch(target, task)
             metrics.record_path(isinstance(rows, ColumnBatch), len(rows))
-            observer.on_queue_depth("inline", len(stack) + 1)
             bolt: Bolt = tasks[target][task]
-            started = time.perf_counter()
+            if observer is not None:
+                observer.on_queue_depth("inline", len(stack) + 1)
+                started = time.perf_counter()
             emissions = bolt.execute_batch(source, stream, rows)
-            elapsed = time.perf_counter() - started
-            observer.on_execute(target, task, len(rows), elapsed)
-            child = observer.span(ctx, target, task, len(rows), elapsed)
+            if observer is not None:
+                elapsed = time.perf_counter() - started
+                observer.on_execute(target, task, len(rows), elapsed)
+                child = observer.span(ctx, target, task, len(rows), elapsed)
             if emissions:
                 metrics.record_emit(target, task, len(emissions))
                 items = self._route_emissions(target, emissions)
-                if items:
-                    stack.extend(reversed(items))
-                    if trace:
-                        ctx_stack.extend([child] * len(items))
+                self._push(stack, items)
+                if trace:
+                    ctx_stack.extend([child] * len(items))
 
     def _route_emissions(self, source: str,
                          emissions: List[Tuple[str, tuple]]) -> List[_WorkItem]:

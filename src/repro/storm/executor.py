@@ -1,18 +1,14 @@
 """Execution backends: shared-nothing parallel workers over micro-batches.
 
 The :class:`~repro.storm.cluster.LocalCluster` runs a topology through one
-of three interchangeable backends:
+of two interchangeable backends:
 
 - ``inline`` -- the cluster's own single-threaded loop (the default;
   byte-identical to the seed per-tuple engine at ``batch_size=1``).
-- ``threads`` -- staged shared-nothing workers as threads.  Each worker
-  owns a disjoint set of tasks and its own routing state; barriers keep
-  flush/finish semantics exact.  The GIL serializes pure-Python compute,
-  so this backend is mostly useful for I/O-bound spouts and for testing
-  the parallel protocol without process overhead.
 - ``processes`` -- forked worker processes exchanging *serialized*
   micro-batches over pipes: true shared-nothing scale-out across cores,
-  the execution model of the paper's Storm deployment.  Requires the
+  the execution model of the paper's Storm deployment.  Each worker
+  owns a disjoint set of tasks and its own routing state.  Requires the
   ``fork`` start method (Linux/macOS) and pickle-safe rows and task
   state.
 
@@ -38,8 +34,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import queue
-import threading
 import time
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -53,7 +47,7 @@ from repro.storm.topology import Topology, TopologyError
 #: columnar path the rows payload is a ColumnBatch instead of a row list
 WorkItem = Tuple[str, int, str, str, List[tuple]]
 
-EXECUTOR_NAMES = ("inline", "threads", "processes")
+EXECUTOR_NAMES = ("inline", "processes")
 
 
 class ExecutorError(RuntimeError):
@@ -273,71 +267,16 @@ class WorkerState:
         arrival order and then flush (``finish``) -- the coordinator's
         barrier guarantees every input batch has already been delivered.
 
-        Observed runs take :meth:`_run_wave_observed` instead -- same
-        scheduling, plus per-batch timings (and spans at the trace
-        level, where delivered entries and routed items grow a trailing
-        span-context element).
+        Observed runs also time every batch, and at the trace level
+        delivered entries and routed items carry a trailing span context.
         """
-        if self.obs is not None:
-            return self._run_wave_observed(components, delivered)
-        out: List[WorkItem] = []
-        emits: List[tuple] = []
-        receives: List[tuple] = []
-        batches: List[tuple] = []
-        paths = [0, 0, 0, 0]  # columnar rows/batches, row rows/batches
-        route = self.router.route
-        for name in components:
-            owned = self.owned.get(name)
-            if not owned:
-                continue
-            if self.is_spout[name]:
-                for task_index in sorted(owned):
-                    spout = owned[task_index]
-                    has_more = getattr(spout, "has_more", None)
-                    while True:
-                        emissions = spout.next_batch(self.batch_size)
-                        if not emissions:
-                            break
-                        emits.append((name, task_index, len(emissions)))
-                        batches.append((name, task_index))
-                        out.extend(route(name, emissions))
-                        # a short batch means exhaustion unless the spout
-                        # says otherwise (a columnar spout's selection can
-                        # thin a mid-stream chunk below batch_size)
-                        if len(emissions) < self.batch_size and not (
-                                has_more is not None and has_more()):
-                            break
-            else:
-                for task_index in sorted(owned):
-                    bolt = owned[task_index]
-                    for source, stream, rows in delivered.get((name, task_index), ()):
-                        receives.append((source, name, task_index, len(rows)))
-                        batches.append((name, task_index))
-                        if isinstance(rows, ColumnBatch):
-                            paths[0] += len(rows)
-                            paths[1] += 1
-                        else:
-                            paths[2] += len(rows)
-                            paths[3] += 1
-                        emissions = bolt.execute_batch(source, stream, rows)
-                        if emissions:
-                            emits.append((name, task_index, len(emissions)))
-                            out.extend(route(name, emissions))
-                    emissions = bolt.finish()
-                    if emissions:
-                        emits.append((name, task_index, len(emissions)))
-                        out.extend(route(name, emissions))
-        return out, (emits, receives, batches, paths, None)
-
-    def _run_wave_observed(self, components, delivered):
-        """The observed twin of :meth:`run_wave`."""
         obs = self.obs
-        trace = obs.trace
+        trace = obs is not None and obs.trace
         out: List[tuple] = []
         emits: List[tuple] = []
         receives: List[tuple] = []
         batches: List[tuple] = []
-        paths = [0, 0, 0, 0]
+        paths = [0, 0, 0, 0]  # columnar rows/batches, row rows/batches
         route = self.router.route
         perf = time.perf_counter
         for name in components:
@@ -349,21 +288,27 @@ class WorkerState:
                     spout = owned[task_index]
                     has_more = getattr(spout, "has_more", None)
                     while True:
-                        started = perf()
+                        if obs is not None:
+                            started = perf()
                         emissions = spout.next_batch(self.batch_size)
-                        elapsed = perf() - started
+                        if obs is not None:
+                            elapsed = perf() - started
                         if not emissions:
                             break
                         emits.append((name, task_index, len(emissions)))
                         batches.append((name, task_index))
-                        obs.record(name, task_index, len(emissions), elapsed)
                         items = route(name, emissions)
-                        if trace:
-                            ctx = obs.root(name, task_index, len(emissions),
-                                           elapsed)
-                            out.extend(item + (ctx,) for item in items)
-                        else:
-                            out.extend(items)
+                        if obs is not None:
+                            obs.record(name, task_index, len(emissions),
+                                       elapsed)
+                            if trace:
+                                ctx = obs.root(name, task_index,
+                                               len(emissions), elapsed)
+                                items = [item + (ctx,) for item in items]
+                        out.extend(items)
+                        # a short batch means exhaustion unless the spout
+                        # says otherwise (a columnar spout's selection can
+                        # thin a mid-stream chunk below batch_size)
                         if len(emissions) < self.batch_size and not (
                                 has_more is not None and has_more()):
                             break
@@ -375,7 +320,6 @@ class WorkerState:
                             source, stream, rows, ctx = entry
                         else:
                             source, stream, rows = entry
-                            ctx = None
                         receives.append((source, name, task_index, len(rows)))
                         batches.append((name, task_index))
                         if isinstance(rows, ColumnBatch):
@@ -384,29 +328,30 @@ class WorkerState:
                         else:
                             paths[2] += len(rows)
                             paths[3] += 1
-                        started = perf()
+                        if obs is not None:
+                            started = perf()
                         emissions = bolt.execute_batch(source, stream, rows)
-                        elapsed = perf() - started
-                        obs.record(name, task_index, len(rows), elapsed)
-                        child = obs.span(ctx, name, task_index, len(rows),
-                                         elapsed)
+                        if obs is not None:
+                            elapsed = perf() - started
+                            obs.record(name, task_index, len(rows), elapsed)
+                            child = obs.span(ctx if trace else None, name,
+                                             task_index, len(rows), elapsed)
                         if emissions:
                             emits.append((name, task_index, len(emissions)))
                             items = route(name, emissions)
                             if trace:
-                                out.extend(item + (child,) for item in items)
-                            else:
-                                out.extend(items)
+                                items = [item + (child,) for item in items]
+                            out.extend(items)
                     emissions = bolt.finish()
                     if emissions:
                         emits.append((name, task_index, len(emissions)))
                         items = route(name, emissions)
                         if trace:
                             # flush emissions are punctuations, untraced
-                            out.extend(item + (None,) for item in items)
-                        else:
-                            out.extend(items)
-        return out, (emits, receives, batches, paths, obs.drain())
+                            items = [item + (None,) for item in items]
+                        out.extend(items)
+        return out, (emits, receives, batches, paths,
+                     None if obs is None else obs.drain())
 
     def exports(self) -> Dict[Tuple[str, int], object]:
         """Final owned task instances, for post-run state extraction."""
@@ -418,12 +363,11 @@ class WorkerState:
 
 
 def worker_loop(state: WorkerState, recv, send):
-    """Command loop shared by the thread and process backends.
+    """Command loop of one staged worker process.
 
     ``recv()`` yields coordinator commands; ``send(reply)`` must raise in
-    the *caller* on serialization failure (queue.Queue and Connection.send
-    both do) so errors surface as ``("error", traceback)`` replies instead
-    of hangs.
+    the *caller* on serialization failure (``Connection.send`` does) so
+    errors surface as ``("error", traceback)`` replies instead of hangs.
     """
     while True:
         message = recv()
@@ -448,30 +392,6 @@ def worker_loop(state: WorkerState, recv, send):
 # ---------------------------------------------------------------------------
 # Coordinator side
 # ---------------------------------------------------------------------------
-
-
-class _ThreadWorker:
-    """A worker thread fed through in-memory queues (no serialization)."""
-
-    def __init__(self, state: WorkerState):
-        self._inbox: "queue.Queue" = queue.Queue()
-        self._outbox: "queue.Queue" = queue.Queue()
-        self._thread = threading.Thread(
-            target=worker_loop,
-            args=(state, self._inbox.get, self._outbox.put),
-            daemon=True,
-        )
-        self._thread.start()
-
-    def send(self, message):
-        self._inbox.put(message)
-
-    def recv(self):
-        return self._outbox.get()
-
-    def stop(self):
-        self._inbox.put(("stop",))
-        self._thread.join(timeout=30)
 
 
 class _ProcessWorker:
@@ -526,16 +446,11 @@ def _process_worker_main(state: WorkerState, conn):
         conn.close()
 
 
-class StagedExecutor:
-    """Coordinator for the parallel backends: waves, barriers, merging.
+class ProcessExecutor:
+    """Coordinator of the staged ``processes`` backend: forked workers,
+    waves, barriers, deterministic merging."""
 
-    Subclasses only decide how workers run (threads vs forked processes)
-    and whether final task state must be shipped back.
-    """
-
-    name = "staged"
-    needs_fork = False
-    reimports_tasks = False
+    name = "processes"
 
     def __init__(self, cluster, parallelism: Optional[int] = None):
         self.cluster = cluster
@@ -549,19 +464,24 @@ class StagedExecutor:
         self.assignment = assign_tasks(cluster.topology, self.n_workers)
         ensure_task_local_routing(cluster.topology, self.name)
 
-    # -- backend hooks -----------------------------------------------------
+    def _fork_workers(self, batch_size: int) -> List[_ProcessWorker]:
+        import multiprocessing
 
-    def _start_workers(self, batch_size: int) -> List[object]:
-        raise NotImplementedError
-
-    def _make_state(self, worker_id: int, batch_size: int) -> WorkerState:
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ExecutorError(
+                "the 'processes' backend needs the fork start method "
+                "(component factories are closures and cannot be pickled); "
+                "use executor='inline' on this platform"
+            )
+        context = multiprocessing.get_context("fork")
         observer = self.cluster.observer
-        return WorkerState(worker_id, self.cluster.topology, self.cluster._tasks,
-                           self.assignment, batch_size,
-                           observe="off" if observer is None
-                           else observer.level)
-
-    # -- the run -----------------------------------------------------------
+        observe = "off" if observer is None else observer.level
+        return [
+            _ProcessWorker(context, WorkerState(
+                worker_id, self.cluster.topology, self.cluster._tasks,
+                self.assignment, batch_size, observe=observe))
+            for worker_id in range(self.n_workers)
+        ]
 
     def run(self, batch_size: int = 1):
         """Execute the topology to completion; returns the cluster metrics."""
@@ -572,7 +492,7 @@ class StagedExecutor:
         observer = cluster.observer
         trace = observer is not None and observer.trace
         levels = topological_levels(cluster.topology)
-        workers = self._start_workers(batch_size)
+        workers = self._fork_workers(batch_size)
         try:
             pending: Dict[Tuple[str, int], List[tuple]] = {}
             for level in levels:
@@ -621,7 +541,12 @@ class StagedExecutor:
                 raise ExecutorError(
                     f"undelivered batches after final wave: {sorted(pending)}"
                 )
-            self._finalize(workers)
+            # ship the final task state back into the cluster
+            for worker in workers:
+                worker.send(("collect",))
+            for worker in workers:
+                for (name, task_index), instance in self._reply(worker).items():
+                    cluster._tasks[name][task_index] = instance
         finally:
             for worker in workers:
                 worker.stop()
@@ -634,56 +559,6 @@ class StagedExecutor:
                 f"{self.name} worker failed:\n{payload}"
             )
         return payload
-
-    def _finalize(self, workers):
-        """Ship final task state back into the cluster (process backend)."""
-        if not self.reimports_tasks:
-            return
-        for worker in workers:
-            worker.send(("collect",))
-        for worker in workers:
-            for (name, task_index), instance in self._reply(worker).items():
-                self.cluster._tasks[name][task_index] = instance
-
-
-class ThreadExecutor(StagedExecutor):
-    """Staged workers as threads sharing the cluster's task instances.
-
-    Ownership is still disjoint and routing still task-local, so the
-    execution protocol is identical to the process backend -- only the
-    transport (in-memory queues) and the memory model (shared heap, no
-    pickling) differ.
-    """
-
-    name = "threads"
-
-    def _start_workers(self, batch_size):
-        return [
-            _ThreadWorker(self._make_state(worker_id, batch_size))
-            for worker_id in range(self.n_workers)
-        ]
-
-
-class ProcessExecutor(StagedExecutor):
-    """Staged workers as forked processes: shared-nothing across cores."""
-
-    name = "processes"
-    reimports_tasks = True
-
-    def _start_workers(self, batch_size):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ExecutorError(
-                "the 'processes' backend needs the fork start method "
-                "(component factories are closures and cannot be pickled); "
-                "use executor='threads' or 'inline' on this platform"
-            )
-        context = multiprocessing.get_context("fork")
-        return [
-            _ProcessWorker(context, self._make_state(worker_id, batch_size))
-            for worker_id in range(self.n_workers)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -743,42 +618,16 @@ class ResidentWorkerState:
             os.kill(os.getpid(), signal)  # SIGKILL: never returns
 
     def execute(self, items: List[WorkItem]):
-        """Run delivered batches in order; return raw emissions + metrics."""
-        if self.obs is not None:
-            return self._execute_observed(items)
-        outputs: List[Tuple[str, int, object]] = []
-        emits: List[tuple] = []
-        receives: List[tuple] = []
-        batches: List[tuple] = []
-        paths = [0, 0, 0, 0]
-        for target, task_index, source, stream, rows in items:
-            bolt = self.owned[(target, task_index)]
-            receives.append((source, target, task_index, len(rows)))
-            batches.append((target, task_index))
-            if isinstance(rows, ColumnBatch):
-                paths[0] += len(rows)
-                paths[1] += 1
-            else:
-                paths[2] += len(rows)
-                paths[3] += 1
-            emissions = bolt.execute_batch(source, stream, rows)
-            self.batches_executed += 1
-            if emissions:
-                emits.append((target, task_index, len(emissions)))
-                outputs.append((target, task_index, emissions))
-            self._maybe_die()
-        return outputs, (emits, receives, batches, paths, None)
+        """Run delivered batches in order; return raw emissions + metrics.
 
-    def _execute_observed(self, items: List[WorkItem]):
-        """``execute`` with per-batch timings and (at 'trace') spans.
-
-        Trace-level items carry a trailing span context (6-tuples) and
-        trace-level outputs grow a trailing child context (4-tuples) so
-        the coordinator can parent downstream hops; 'metrics' keeps the
-        off-level wire shapes and only ships timings in the deltas.
+        Observed workers also time every batch.  Trace-level items carry
+        a trailing span context (6-tuples) and trace-level outputs grow a
+        trailing child context (4-tuples) so the coordinator can parent
+        downstream hops; 'metrics' keeps the off-level wire shapes and
+        only ships timings in the deltas.
         """
         obs = self.obs
-        trace = obs.trace
+        trace = obs is not None and obs.trace
         perf = time.perf_counter
         outputs: List[tuple] = []
         emits: List[tuple] = []
@@ -790,7 +639,6 @@ class ResidentWorkerState:
                 target, task_index, source, stream, rows, ctx = item
             else:
                 target, task_index, source, stream, rows = item
-                ctx = None
             bolt = self.owned[(target, task_index)]
             receives.append((source, target, task_index, len(rows)))
             batches.append((target, task_index))
@@ -800,12 +648,15 @@ class ResidentWorkerState:
             else:
                 paths[2] += len(rows)
                 paths[3] += 1
-            started = perf()
+            if obs is not None:
+                started = perf()
             emissions = bolt.execute_batch(source, stream, rows)
-            elapsed = perf() - started
+            if obs is not None:
+                elapsed = perf() - started
+                obs.record(target, task_index, len(rows), elapsed)
+                child = obs.span(ctx if trace else None, target, task_index,
+                                 len(rows), elapsed)
             self.batches_executed += 1
-            obs.record(target, task_index, len(rows), elapsed)
-            child = obs.span(ctx, target, task_index, len(rows), elapsed)
             if emissions:
                 emits.append((target, task_index, len(emissions)))
                 if trace:
@@ -813,7 +664,8 @@ class ResidentWorkerState:
                 else:
                     outputs.append((target, task_index, emissions))
             self._maybe_die()
-        return outputs, (emits, receives, batches, paths, obs.drain())
+        return outputs, (emits, receives, batches, paths,
+                         None if obs is None else obs.drain())
 
     def advance_watermark(self, watermark: float):
         """Apply one watermark punctuation to every owned windowed task."""
@@ -984,7 +836,7 @@ class ResidentWorkerPool:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ExecutorError(
                 "the resident 'processes' backend needs the fork start "
-                "method; use executor='threads' or 'inline' on this platform"
+                "method; use executor='inline' on this platform"
             )
         self._context = multiprocessing.get_context("fork")
         self._topology = topology
@@ -1185,25 +1037,17 @@ class ResidentWorkerPool:
         })
 
 
-_BACKENDS = {
-    "threads": ThreadExecutor,
-    "processes": ProcessExecutor,
-}
-
-
 def create_executor(name: str, cluster, parallelism: Optional[int] = None):
-    """Instantiate a parallel backend by name ('threads' or 'processes').
+    """Instantiate the staged parallel backend by name ('processes').
 
     The 'inline' backend is the LocalCluster's own loop and never reaches
     this factory.
     """
-    try:
-        backend = _BACKENDS[name]
-    except KeyError:
+    if name != "processes":
         raise ExecutorError(
             f"unknown executor {name!r}; choose one of {EXECUTOR_NAMES}"
-        ) from None
-    return backend(cluster, parallelism)
+        )
+    return ProcessExecutor(cluster, parallelism)
 
 
 def pickle_roundtrip(obj):

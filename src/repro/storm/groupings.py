@@ -70,7 +70,7 @@ class Grouping:
         content-insensitive ones diverge per worker, which only changes
         the interleaving, never the result multiset.  Groupings must be
         deep-copyable and pickle-safe (no open handles, no lambdas) to be
-        usable under the 'threads' and 'processes' executors.
+        usable under the 'processes' executor.
 
         ``memo`` is the deepcopy memo shared across one worker's whole
         routing table, so objects referenced by several groupings (a

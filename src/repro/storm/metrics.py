@@ -185,8 +185,8 @@ class StreamMetrics:
     a trailing wall-clock window, the current event-time watermark, and
     the **event-time lag** (newest event timestamp seen minus the
     watermark -- how far window results trail the stream's own clock).
-    All methods are thread-safe; the threads executor's pump and workers
-    record concurrently.
+    All methods are thread-safe: a broker's driver thread records while
+    readers (stats, ``\\watch``) snapshot concurrently.
     """
 
     #: squall-lint lock-discipline contract: the rolling counters only

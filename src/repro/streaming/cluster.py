@@ -8,7 +8,7 @@ dataplane (no per-tuple regression), watermark punctuations drive window
 expiration between batches, and the :class:`~repro.streaming.deltas.\
 DeltaSink` at the bottom feeds live ``+row/-row`` deltas to subscribers.
 
-Three executors:
+Two executors:
 
 - ``inline`` -- a single-threaded pump loop over the resident
   :class:`LocalCluster`.  Each round polls every source for one
@@ -16,16 +16,6 @@ Three executors:
   to ``LocalCluster.run``, so at equal batch size the delivery order --
   and hence every per-task counter -- matches the finite engine), then
   advances the merged watermark at the quiescent point.
-- ``threads`` -- one worker thread per bolt task, fed through a
-  **bounded queue** (``queue_capacity`` micro-batches).  A full queue
-  blocks the producer's ``put`` -- backpressure propagates hop by hop
-  from a slow consumer back to the source pumps.  Watermark and
-  end-of-stream punctuations travel through the same FIFO queues as
-  data and are merged per upstream task, so a promise can never overtake
-  the rows it vouches for.  Routing state is cloned per worker
-  (``Grouping.task_local``); partitioners that adapt to the globally
-  observed stream are refused up front, exactly as in
-  :mod:`repro.storm.executor`.
 - ``processes`` -- **resident forked worker processes** holding the
   topology's join/aggregation tasks, exchanging serialized micro-batches
   with the coordinator over long-lived pipes: the fault-tolerant
@@ -41,7 +31,7 @@ Three executors:
   snapshot is byte-identical to a crash-free (and to a batch) run.
   The full walkthrough lives in ``docs/FAULT_TOLERANCE.md``.
 
-All executors produce the same final snapshot as ``run_plan`` on the
+Both executors produce the same final snapshot as ``run_plan`` on the
 same data; the inline executor at equal ``batch_size`` reproduces the
 finite engine's interleaving exactly.
 """
@@ -50,7 +40,6 @@ from __future__ import annotations
 
 import math
 import pickle
-import queue
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -62,6 +51,7 @@ from repro.engine.operators import Projection, Selection
 from repro.obs import Observer
 from repro.storm.cluster import LocalCluster
 from repro.storm.executor import (
+    EXECUTOR_NAMES,
     ExecutorError,
     ResidentWorkerPool,
     Router,
@@ -76,13 +66,8 @@ from repro.streaming.deltas import DeltaSink, Subscription
 from repro.streaming.sources import Emission, PushSource
 from repro.streaming.watermarks import WatermarkTracker
 
-STREAMING_EXECUTORS = ("inline", "threads", "processes")
-
 #: checkpoint cadence (pump rounds) when none is configured
 DEFAULT_CHECKPOINT_INTERVAL = 8
-
-#: message kinds flowing through a worker task's queue
-_DATA, _WM, _EOS = "data", "wm", "eos"
 
 
 class SourcePump:
@@ -143,21 +128,12 @@ class StreamingCluster:
     ``sources`` maps each spout component name to the
     :class:`PushSource` that stands in for it; emissions are attributed
     to task 0 of that component.  Use :meth:`subscribe` before running to
-    observe deltas, :meth:`run` (or repeated :meth:`step` under the
-    inline executor) to drive the query, and :meth:`snapshot` for the
-    current result multiset.
+    observe deltas, :meth:`run` (or repeated :meth:`step`) to drive the
+    query, and :meth:`snapshot` for the current result multiset.
     """
-
-    #: squall-lint lock-discipline contract: worker threads report
-    #: failures concurrently with the pump reading them.  (Metrics
-    #: recording is also under ``_lock`` in threads mode, but only
-    #: there -- the inline executor records unlocked by design, so the
-    #: metrics objects cannot be declared here.)
-    GUARDED_BY = {"_worker_error": "_lock"}
 
     def __init__(self, topology: Topology, sources: Dict[str, PushSource],
                  batch_size: int = 64, executor: str = "inline",
-                 queue_capacity: int = 128,
                  source_operators: Optional[
                      Dict[str, Tuple[Optional[Selection],
                                      Optional[Projection]]]] = None,
@@ -172,10 +148,10 @@ class StreamingCluster:
                  observe: str = "off"):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if executor not in STREAMING_EXECUTORS:
+        if executor not in EXECUTOR_NAMES:
             raise ExecutorError(
                 f"unknown streaming executor {executor!r}; choose one of "
-                f"{STREAMING_EXECUTORS}"
+                f"{EXECUTOR_NAMES}"
             )
         spout_names = sorted(
             name for name, spec in topology.components.items() if spec.is_spout
@@ -185,18 +161,15 @@ class StreamingCluster:
                 f"sources {sorted(sources)} do not match the topology's "
                 f"spout components {spout_names}"
             )
-        if executor == "threads":
-            ensure_task_local_routing(topology, "threads")
         if executor == "processes":
             # adaptive partitioners reshape with the observed stream; a
             # recovery replay would route the replayed rows through the
             # *post*-failure shape and land them on different partitions
-            # than the original delivery -- refuse, as the staged backends do
+            # than the original delivery -- refuse, as the staged backend does
             ensure_task_local_routing(topology, "processes")
         self.topology = topology
         self.batch_size = batch_size
         self.executor = executor
-        self.queue_capacity = queue_capacity
         self.idle_sleep = idle_sleep
         self.cluster = LocalCluster(topology)
         self.cluster.set_coalescing(batch_size > 1)
@@ -231,7 +204,6 @@ class StreamingCluster:
         self._done = threading.Event()
         self._stop = threading.Event()
         self._started = False
-        self._lock = threading.Lock()  # metrics + shared state (threads mode)
         self._bolt_tasks: List[Tuple[str, int, object]] = [
             (name, task_index, task)
             for name in topology.topological_order()
@@ -242,8 +214,6 @@ class StreamingCluster:
             task for _n, _i, task in self._bolt_tasks
             if isinstance(task, DeltaSink)
         ]
-        self._threads: List[threading.Thread] = []
-        self._worker_error: List[str] = []
         # -- processes executor: checkpointed resident workers ------------
         self.checkpoint_interval = (
             DEFAULT_CHECKPOINT_INTERVAL if checkpoint_interval is None
@@ -315,55 +285,32 @@ class StreamingCluster:
 
     def run(self):
         """Drive the query until every source is exhausted and the
-        topology flushed.  Under ``threads`` this starts the workers (if
-        needed) and blocks until completion."""
-        if self.executor == "threads":
-            self.start()
-            self._done.wait()
-            self._raise_worker_error()
-            return self.metrics
+        topology flushed."""
         self._started = True  # stop(wait=True) may rely on this driver
         while not self.done:
             if not self.step():
                 time.sleep(self.idle_sleep)
         return self.metrics
 
-    def start(self):
-        """Start background execution (threads executor only; the inline
-        executor is driven by the caller through step()/run())."""
-        if self.executor != "threads":
-            self._started = True
-            return
-        if self._started:
-            return
-        self._started = True
-        self._start_threads()
-
     def stop(self, wait: bool = True, timeout: Optional[float] = 10.0):
         """Tear a resident query down without waiting for exhaustion.
 
-        Sets the stop flag; the driver (the inline ``run()``/``step()``
-        loop or the threads pump) notices at its next round, stops
-        polling the sources, flushes the topology -- so every
-        subscription receives its final deltas and is closed -- and sets
-        :attr:`done`.  ``wait=True`` blocks until that teardown completes
-        (requires a live driver: the broker's per-topology driver thread,
-        or a ``run()`` in progress).  Idempotent; a no-op once done."""
+        Sets the stop flag; the driver (the ``run()``/``step()`` loop)
+        notices at its next round, stops polling the sources, flushes the
+        topology -- so every subscription receives its final deltas and
+        is closed -- and sets :attr:`done`.  ``wait=True`` blocks until
+        that teardown completes (requires a live driver: the broker's
+        per-topology driver thread, or a ``run()`` in progress).
+        Idempotent; a no-op once done."""
         self._stop.set()
         if self.done:
             return
-        if wait and (self.executor == "threads" or self._started):
+        if wait and self._started:
             self._done.wait(timeout)
-            self._raise_worker_error()
 
-    def advance(self, timeout: float = 0.05) -> bool:
-        """One scheduling quantum for delta iterators: inline runs one
-        pump round; threads waits briefly for background progress."""
-        if self.executor == "threads":
-            self.start()
-            self._done.wait(timeout)
-            self._raise_worker_error()
-            return self.done
+    def advance(self) -> bool:
+        """One scheduling quantum for delta iterators: one pump round,
+        or a short idle sleep when the round made no progress."""
         if not self.step():
             time.sleep(self.idle_sleep)
         return self.done
@@ -371,7 +318,7 @@ class StreamingCluster:
     # -- inline executor ---------------------------------------------------
 
     def step(self) -> bool:
-        """One inline pump round; returns whether any progress was made.
+        """One pump round; returns whether any progress was made.
 
         Polls every live source for at most one micro-batch, drives each
         batch to quiescence, then -- at the quiescent point, where no
@@ -380,12 +327,6 @@ class StreamingCluster:
         """
         if self.executor == "processes":
             return self._step_processes()
-        if self.executor != "inline":
-            raise ExecutorError(
-                "step() drives the inline executor; the threads executor "
-                "runs in the background (use run(), advance() or the "
-                "delta iterator)"
-            )
         if self.done:
             return False
         if self._stop.is_set():
@@ -784,228 +725,3 @@ class StreamingCluster:
                 self._advance_watermark_processes(entry[1], replay=True)
         self.checkpoints.record_recovery(list(respawned), replayed_entries,
                                          replayed_rows)
-
-    # -- threads executor --------------------------------------------------
-
-    def _start_threads(self):
-        topology = self.topology
-        self._queues: Dict[Tuple[str, int], "queue.Queue"] = {}
-        for name, task_index, _task in self._bolt_tasks:
-            self._queues[(name, task_index)] = queue.Queue(self.queue_capacity)
-        # per-bolt upstream task keys (who must punctuate before we act)
-        self._upstream_keys: Dict[str, List[Tuple[str, int]]] = {}
-        # per-component downstream tasks (who receives our punctuations)
-        self._downstream: Dict[str, List[Tuple[str, int]]] = {}
-        for name, spec in topology.components.items():
-            ups: List[Tuple[str, int]] = []
-            for up in topology.upstream(name):
-                up_spec = topology.components[up]
-                count = 1 if up_spec.is_spout else up_spec.parallelism
-                ups.extend((up, i) for i in range(count))
-            self._upstream_keys[name] = ups
-            downs: List[Tuple[str, int]] = []
-            for target in sorted({e.target for e in topology.out_edges(name)}):
-                downs.extend(
-                    (target, i)
-                    for i in range(topology.components[target].parallelism)
-                )
-            self._downstream[name] = downs
-        for name, task_index, task in self._bolt_tasks:
-            thread = threading.Thread(
-                target=self._worker_loop, args=(name, task_index, task),
-                name=f"stream-{name}-{task_index}", daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
-        pump_thread = threading.Thread(
-            target=self._pump_loop, name="stream-pump", daemon=True)
-        self._threads.append(pump_thread)
-        pump_thread.start()
-
-    def _dispatch(self, router: Router, source: str,
-                  emissions: Sequence[Emission], ctx=None):
-        """Route one component's emissions into the owning task queues.
-
-        ``Queue.put`` blocks when the target queue is full: this is the
-        backpressure edge -- a slow consumer stalls its producers, and
-        transitively the source pumps.  ``ctx`` is the parent span
-        context riding with every routed batch (None when unobserved or
-        for untraced punctuation-driven emissions)."""
-        if not isinstance(emissions, ColumnEmissions):
-            # materialize generators; a columnar batch must NOT be listed
-            # out here or it would degrade to per-row pairs
-            emissions = list(emissions)
-        for target, task, src, stream, rows in router.route(
-                source, emissions, coalesce=self.batch_size > 1):
-            self._queues[(target, task)].put((_DATA, src, stream, rows, ctx))
-
-    def _broadcast(self, source: str, message: tuple):
-        for key in self._downstream[source]:
-            self._queues[key].put(message)
-
-    def _pump_loop(self):
-        try:
-            router = Router(self.topology, clone=True)
-            live = dict(self._pumps)
-            tracker = WatermarkTracker()  # stats-side merge of the promises
-            last_sent: Dict[str, Optional[float]] = {name: None for name in live}
-            for name in live:
-                tracker.register(name)
-            while live:
-                if self._stop.is_set():
-                    # forced teardown: EOS every remaining source so the
-                    # workers finish (flush + subscription close) and exit
-                    for name in list(live):
-                        tracker.mark_done(name)
-                        self._broadcast(name, (_EOS, (name, 0)))
-                    live.clear()
-                    break
-                progressed = False
-                for name in list(live):
-                    pump = live[name]
-                    emissions = pump.poll(self.batch_size)
-                    if pump.last_poll_raw:
-                        progressed = True
-                    if emissions:
-                        with self._lock:
-                            self.metrics.record_emit(name, 0, len(emissions))
-                            self.metrics.record_batch(name, 0)
-                        self.stats.record_events(
-                            len(emissions), pump.source.max_event_time)
-                        ctx = None
-                        if self.observer is not None:
-                            self.observer.on_execute(
-                                name, 0, len(emissions), 0.0)
-                            ctx = self.observer.root(
-                                name, 0, len(emissions), 0.0)
-                        self._dispatch(router, name, emissions, ctx)
-                    if pump.exhausted():
-                        progressed = True
-                        # the final promise covers the last batch; send it
-                        # ahead of EOS so windows catch up before finish()
-                        self._send_source_watermark(
-                            tracker, last_sent, name, pump)
-                        tracker.mark_done(name)
-                        self._broadcast(name, (_EOS, (name, 0)))
-                        del live[name]
-                        continue
-                    self._send_source_watermark(tracker, last_sent, name, pump)
-                if not progressed:
-                    time.sleep(self.idle_sleep)
-            # workers cascade EOS downstream and exit on their own
-            for thread in self._threads:
-                if thread is not threading.current_thread():
-                    thread.join()
-        except Exception:  # pragma: no cover - defensive
-            import traceback
-            with self._lock:
-                self._worker_error.append(traceback.format_exc())
-        finally:
-            self._done.set()
-
-    def _send_source_watermark(self, tracker: WatermarkTracker,
-                               last_sent: Dict[str, Optional[float]],
-                               name: str, pump: SourcePump):
-        """Broadcast one source's advanced promise (event-time mode only)."""
-        if not self._event_time:
-            return
-        watermark = pump.watermark()
-        if watermark is None or (
-                last_sent[name] is not None and watermark <= last_sent[name]):
-            return
-        last_sent[name] = watermark
-        tracker.update(name, watermark)
-        merged = tracker.merged()
-        if merged is not None and merged != math.inf:
-            self.stats.record_watermark(merged)
-        self._broadcast(name, (_WM, (name, 0), watermark))
-
-    def _worker_loop(self, name: str, task_index: int, bolt):
-        try:
-            inbox = self._queues[(name, task_index)]
-            observer = self.observer
-            router = Router(self.topology, clone=True)
-            tracker = WatermarkTracker()
-            for key in self._upstream_keys[name]:
-                tracker.register(key)
-            last_wm: Optional[float] = None
-            hook = getattr(bolt, "advance_watermark", None)
-
-            def advance_merged():
-                """Apply + forward the merged watermark if it moved."""
-                nonlocal last_wm
-                merged = tracker.merged()
-                if merged is None or (
-                        last_wm is not None and merged <= last_wm):
-                    return
-                last_wm = merged
-                if hook is not None and merged != math.inf:
-                    emissions = hook(merged)
-                    if emissions:
-                        with self._lock:
-                            self.metrics.record_emit(
-                                name, task_index, len(emissions))
-                        self._dispatch(router, name, emissions)
-                self._broadcast(name, (_WM, (name, task_index), merged))
-
-            while True:
-                message = inbox.get()
-                kind = message[0]
-                if kind == _DATA:
-                    _kind, source, stream, rows, ctx = message
-                    with self._lock:
-                        self.metrics.record_receive(
-                            source, name, task_index, len(rows))
-                        self.metrics.record_batch(name, task_index)
-                    if observer is not None:
-                        observer.on_queue_depth("threads", inbox.qsize() + 1)
-                        started = time.perf_counter()
-                        emissions = bolt.execute_batch(source, stream, rows)
-                        elapsed = time.perf_counter() - started
-                        observer.on_execute(
-                            name, task_index, len(rows), elapsed)
-                        child = observer.span(
-                            ctx, name, task_index, len(rows), elapsed)
-                    else:
-                        emissions = bolt.execute_batch(source, stream, rows)
-                        child = None
-                    if emissions:
-                        with self._lock:
-                            self.metrics.record_emit(
-                                name, task_index, len(emissions))
-                        self._dispatch(router, name, emissions, child)
-                elif kind == _WM:
-                    _kind, key, watermark = message
-                    tracker.update(key, watermark)
-                    advance_merged()
-                elif kind == _EOS:
-                    _kind, key = message
-                    tracker.mark_done(key)
-                    if not tracker.all_done():
-                        # the finished input stops constraining the merge,
-                        # which may itself advance the watermark -- act on
-                        # it now, not at the next unrelated punctuation
-                        advance_merged()
-                        continue
-                    emissions = bolt.finish()
-                    if emissions:
-                        with self._lock:
-                            self.metrics.record_emit(
-                                name, task_index, len(emissions))
-                        self._dispatch(router, name, emissions)
-                    self._broadcast(name, (_EOS, (name, task_index)))
-                    return
-        except Exception:
-            import traceback
-            with self._lock:
-                self._worker_error.append(
-                    f"worker {name}[{task_index}] failed:\n"
-                    + traceback.format_exc())
-            self._done.set()
-
-    def _raise_worker_error(self):
-        with self._lock:
-            errors = list(self._worker_error)
-        if errors:
-            raise ExecutorError(
-                "streaming worker failed:\n" + "\n".join(errors))

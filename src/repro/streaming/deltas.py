@@ -268,8 +268,8 @@ class Subscription:
 class DeltaSink(Bolt):
     """Terminal bolt of a continuous topology: state + subscriptions.
 
-    Thread-safe (the threads executor runs it inside a worker while
-    consumers read snapshots); drop-in replacement for the batch
+    Thread-safe (a broker's driver thread runs it while consumers read
+    snapshots); drop-in replacement for the batch
     :class:`~repro.engine.runner.SinkBolt` in a streaming topology.
 
     The sink is the fan-out point of the serving layer: every delta

@@ -179,7 +179,6 @@ def agg_window_ts_positions(catalog, scans, clause) -> Dict[str, int]:
 def stream_plan(plan: PhysicalPlan, batch_size: Optional[int] = None,
                 executor: Optional[str] = None,
                 rate: Optional[float] = None,
-                queue_capacity: int = 128,
                 sources: Optional[Dict[str, PushSource]] = None,
                 ts_positions: Optional[Dict[str, int]] = None,
                 clock: Callable[[], float] = time.monotonic,
@@ -207,9 +206,8 @@ def stream_plan(plan: PhysicalPlan, batch_size: Optional[int] = None,
     ``docs/FAULT_TOLERANCE.md``).  ``fault_injector`` arms deterministic
     worker kills (:class:`~repro.storm.failures.FaultInjector`) and
     ``checkpoint_dir`` persists snapshots to disk; both are
-    processes-executor extras.  The ``inline`` and ``threads`` executors
-    have no parallelism knob -- threads already runs every task in its
-    own worker thread.
+    processes-executor extras.  The single-threaded ``inline`` executor
+    has no parallelism knob.
 
     By default every source relation is replayed through a
     :class:`ReplaySource` at ``rate`` rows per second (None = as fast as
@@ -233,9 +231,8 @@ def stream_plan(plan: PhysicalPlan, batch_size: Optional[int] = None,
     if resolved.parallelism is not None and resolved.executor != "processes":
         raise ExecutorError(
             "parallelism only applies to the streaming 'processes' "
-            "executor: 'inline' is single-threaded and 'threads' runs "
-            "every task in its own worker thread (drop parallelism=, or "
-            "set executor='processes')"
+            "executor: 'inline' is single-threaded (drop parallelism=, "
+            "or set executor='processes')"
         )
     topology, partitioners = build_topology(
         plan,
@@ -259,7 +256,7 @@ def stream_plan(plan: PhysicalPlan, batch_size: Optional[int] = None,
             )
     cluster = StreamingCluster(
         topology, pumps, batch_size=resolved.batch_size,
-        executor=resolved.executor, queue_capacity=queue_capacity,
+        executor=resolved.executor,
         source_operators=operators, clock=clock, columnar=resolved.columnar,
         parallelism=resolved.parallelism,
         checkpoint_interval=resolved.checkpoint_interval,
@@ -276,9 +273,8 @@ class StreamingQuery:
     """A live, long-running query: delta feed + snapshot + monitors.
 
     Iterating yields :class:`Delta` objects *while the query runs* --
-    the inline executor is driven by the iteration itself (one pump round
-    per empty poll), the threads executor runs in the background.  The
-    iterator ends when every source is exhausted and the final deltas
+    the query is driven by the iteration itself (one pump round per
+    empty poll).  The iterator ends when every source is exhausted and the final deltas
     are drained; for genuinely unbounded sources, consume it as an
     infinite stream or stop by abandoning it.
     """
@@ -303,31 +299,16 @@ class StreamingQuery:
         return self._subscription
 
     def deltas(self) -> Iterator[Delta]:
-        """Live delta iterator.
-
-        Inline: each empty poll drives one pump round.  Threads: blocks
-        on the subscription's condition variable, so a delta published by
-        a background worker wakes the consumer immediately."""
+        """Live delta iterator: each empty poll drives one pump round."""
         cluster = self.cluster
-        threaded = cluster.executor == "threads"
-        if threaded:
-            cluster.start()
         while True:
-            delta = self.subscription.pop(
-                block=threaded, timeout=0.1 if threaded else None)
+            delta = self.subscription.pop()
             if delta is not None:
                 yield delta
                 continue
-            if self.subscription.closed:
+            if self.subscription.closed or cluster.done:
                 return
-            if cluster.done:
-                # surfacing a worker failure beats waiting on a feed
-                # that will never close; otherwise the run is over and
-                # the buffer was just seen empty
-                cluster._raise_worker_error()
-                return
-            if not threaded:
-                cluster.advance()
+            cluster.advance()
 
     __iter__ = deltas
 

@@ -3,15 +3,10 @@
 A watermark is a promise -- "no emission with event timestamp <= W is
 still coming from this input".  A consumer fed by several inputs can only
 act on the *minimum* of its inputs' promises, and may act only once every
-input has made one.  :class:`WatermarkTracker` is that merge, used at two
-levels:
-
-- the streaming cluster merges the per-source watermarks of its pumps
-  (inline executor: at quiescent points between pump rounds);
-- under the threads executor every bolt task merges the punctuations
-  forwarded by each of its upstream *tasks* -- punctuations travel
-  through the same FIFO queues as data, so a watermark can never overtake
-  the rows it vouches for (the classic aligned-punctuation argument).
+input has made one.  :class:`WatermarkTracker` is that merge: the
+streaming cluster merges the per-source watermarks of its pumps at
+quiescent points between pump rounds, where no data is in flight, so a
+watermark can never overtake the rows it vouches for.
 
 An input that finished (end of stream) promises everything: its watermark
 becomes ``math.inf`` and it stops constraining the merge.  A merged value
@@ -58,10 +53,6 @@ class WatermarkTracker:
     def mark_done(self, key: Hashable):
         """End of stream on one input: it promises everything."""
         self._done.add(key)
-
-    def all_done(self) -> bool:
-        """True once every *registered* input reached end of stream."""
-        return all(key in self._done for key in self._marks)
 
     def merged(self) -> Optional[float]:
         """The merged promise: None until every live input reported."""

@@ -34,6 +34,10 @@ def stable_hash(value) -> int:
     if isinstance(value, bytes):
         return zlib.crc32(value) & _MASK32
     if isinstance(value, float):
+        # equal keys must hash equally: 1.0 == 1 and -0.0 == 0, so an
+        # integral float takes the int branch (ints stay bit-identical)
+        if value.is_integer():
+            return stable_hash(int(value))
         return zlib.crc32(struct.pack("!d", value)) & _MASK32
     if value is None:
         return 0x9E3779B9

@@ -300,34 +300,6 @@ class TestSurfacedBugs:
             assert restored.route("R", row) == original.route("R", row)
             assert restored.route("S", row) == original.route("S", row)
 
-    def test_worker_error_is_lock_guarded(self):
-        """StreamingCluster._worker_error is appended from worker threads
-        and read by the pump; both sides must hold the cluster lock."""
-        import ast
-        import inspect
-
-        from repro.streaming.cluster import StreamingCluster
-
-        source = inspect.getsource(StreamingCluster)
-        tree = ast.parse(source.lstrip())
-        cls = tree.body[0]
-        for method in cls.body:
-            if not isinstance(method, ast.FunctionDef):
-                continue
-            for node in ast.walk(method):
-                if (isinstance(node, ast.Attribute)
-                        and node.attr == "_worker_error"
-                        and method.name not in ("__init__",)):
-                    # every runtime touch sits inside a `with self._lock`
-                    withs = [w for w in ast.walk(method)
-                             if isinstance(w, ast.With)
-                             and any(node is inner
-                                     for inner in ast.walk(w))]
-                    assert withs, (
-                        f"{method.name} touches _worker_error "
-                        f"outside the lock")
-        assert "_worker_error" in StreamingCluster.GUARDED_BY
-
     def test_delta_sink_is_marked_coordinator_owned(self):
         from repro.streaming.deltas import DeltaSink
 

@@ -70,7 +70,7 @@ class TestBenchHelpers:
 
         plan = multiway_join_plan(n_rows=120)
         expected = None
-        for executor in ("inline", "threads", "processes"):
+        for executor in ("inline", "processes"):
             result = run_plan(plan, batch_size=32, executor=executor,
                               parallelism=2)
             counted = Counter(result.results)

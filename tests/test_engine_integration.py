@@ -35,6 +35,33 @@ def two_relations(seed=0, n=60):
     return left, right, spec
 
 
+class TestMixedNumericKeys:
+    """Equal keys must route equally: an int-keyed relation joined with a
+    float-keyed one finds every match at any parallelism."""
+
+    @pytest.mark.parametrize("machines", [1, 8])
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    @pytest.mark.parametrize("columnar", [False, True],
+                             ids=["row", "columnar"])
+    def test_int_float_equi_join_finds_every_match(self, machines,
+                                                   batch_size, columnar):
+        R = Relation("R", Schema.of("x", "y"), [(i, i) for i in range(50)])
+        S = Relation("S", Schema.of("y", "z"),
+                     [(float(i), i) for i in range(50)])
+        spec = JoinSpec(
+            [RelationInfo("R", R.schema, 50), RelationInfo("S", S.schema, 50)],
+            [EquiCondition(("R", "y"), ("S", "y"))],
+        )
+        plan = PhysicalPlan(
+            sources=[SourceComponent("R", R), SourceComponent("S", S)],
+            joins=[JoinComponent("J", spec, machines=machines, scheme="hash")],
+        )
+        result = run_plan(plan, batch_size=batch_size, columnar=columnar)
+        expected = reference_join(spec, {"R": R.rows, "S": S.rows})
+        assert len(expected) == 50
+        assert Counter(result.results) == Counter(expected)
+
+
 class TestTwoWaySchemesThroughEngine:
     def test_one_bucket_scheme_in_plan(self):
         left, right, spec = two_relations(seed=91)

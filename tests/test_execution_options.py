@@ -21,7 +21,6 @@ from repro.core.schema import Relation, Schema
 from repro.engine.runner import run_plan
 from repro.functional.stream_api import QueryContext
 from repro.sql.catalog import SqlSession
-from repro.streaming.runner import stream_plan
 
 
 @pytest.fixture
@@ -81,10 +80,10 @@ class TestResolve:
             ExecutionOptions(**bad).resolve()
 
     def test_overlay_set_fields_win(self):
-        base = ExecutionOptions(batch_size=8, executor="threads")
+        base = ExecutionOptions(batch_size=8, executor="processes")
         over = base.overlay(ExecutionOptions(batch_size=64))
         assert over.batch_size == 64
-        assert over.executor == "threads"
+        assert over.executor == "processes"
         assert base.overlay(None) is base
 
     def test_frozen(self):

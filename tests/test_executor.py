@@ -24,8 +24,8 @@ from repro.storm import (
 )
 from repro.storm.executor import (
     EXECUTOR_NAMES,
+    ProcessExecutor,
     Router,
-    ThreadExecutor,
     assign_tasks,
     create_executor,
     default_parallelism,
@@ -90,7 +90,7 @@ class TestScheduling:
 
     def test_worker_count_clamped_to_task_count(self):
         topology, _sink = diamond_topology()
-        executor = ThreadExecutor(LocalCluster(topology), parallelism=64)
+        executor = ProcessExecutor(LocalCluster(topology), parallelism=64)
         assert executor.n_workers == 7  # 2 + 2 + 2 + 1 tasks
 
     def test_default_parallelism_is_positive(self):
@@ -104,15 +104,33 @@ class TestErrors:
         with pytest.raises(ExecutorError, match="unknown executor"):
             cluster.run(executor="goroutines")
 
+    def test_threads_executor_is_rejected_naming_both_executors(self):
+        from repro.engine import run_plan
+        from repro.sql.repl import SquallShell
+        from repro.streaming import stream_plan
+        from tests.batching_plans import plan_join_only
+
+        assert EXECUTOR_NAMES == ("inline", "processes")
+        with pytest.raises(ExecutorError) as batch:
+            run_plan(plan_join_only(), executor="threads")
+        with pytest.raises(ExecutorError) as streaming:
+            stream_plan(plan_join_only(), executor="threads")
+        shell = SquallShell()
+        repl = shell.handle_line("\\set executor threads")
+        assert shell.executor == "inline"
+        for message in (str(batch.value), str(streaming.value), repl):
+            assert "'threads'" in message or "must be" in message
+            assert "inline" in message and "processes" in message
+
     def test_zero_parallelism_rejected(self):
         topology, _sink = diamond_topology()
         with pytest.raises(ExecutorError, match="parallelism"):
-            create_executor("threads", LocalCluster(topology), parallelism=0)
+            create_executor("processes", LocalCluster(topology), parallelism=0)
 
     def test_max_tuples_needs_inline(self):
         topology, _sink = diamond_topology()
         with pytest.raises(ExecutorError, match="max_tuples"):
-            LocalCluster(topology).run(max_tuples=5, executor="threads")
+            LocalCluster(topology).run(max_tuples=5, executor="processes")
 
     @pytest.mark.parametrize("executor", PARALLEL)
     def test_worker_failure_surfaces_with_traceback(self, executor):

@@ -1,4 +1,4 @@
-"""Backend equivalence: inline vs threads vs processes.
+"""Backend equivalence: inline vs processes.
 
 Every backend must produce the identical result multiset and identical
 per-component tuple totals on the golden batching plans (pinned against
@@ -28,8 +28,22 @@ from tests.test_retractions import (
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "batching_equivalence.json")
 
-BACKENDS = ["inline", "threads", "processes"]
-PARALLEL = ["threads", "processes"]
+# ``processes-1`` is the processes executor with a single worker: every
+# task runs in one process, so each wave barrier merges one reply instead
+# of interleaving several in worker-id order. Results must not depend on
+# the worker count.
+BACKENDS = ["inline", "processes", "processes-1"]
+PARALLEL = ["processes", "processes-1"]
+
+
+def backend_kwargs(backend, parallelism):
+    """``run``/``run_plan`` keywords for a backend id; ``parallelism`` is
+    the worker count of the multi-worker ``processes`` backend."""
+    if backend == "inline":
+        return {"executor": "inline"}
+    if backend == "processes-1":
+        return {"executor": "processes", "parallelism": 1}
+    return {"executor": backend, "parallelism": parallelism}
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +53,8 @@ def golden():
 
 
 def run_backend(name, executor, batch_size=16):
-    kwargs = {} if executor == "inline" else {"parallelism": 4}
     return run_plan(GOLDEN_PLANS[name](), batch_size=batch_size,
-                    executor=executor, **kwargs)
+                    **backend_kwargs(executor, 4))
 
 
 @pytest.mark.parametrize("executor", BACKENDS)
@@ -124,8 +137,7 @@ def run_retraction_topology(script, local_join, executor, aggregate,
     topology, _results = build_rst_topology(spec, script, local_join,
                                             aggregate=aggregate)
     cluster = LocalCluster(topology)
-    kwargs = {} if executor == "inline" else {"parallelism": 3}
-    cluster.run(batch_size=batch_size, executor=executor, **kwargs)
+    cluster.run(batch_size=batch_size, **backend_kwargs(executor, 3))
     # read the post-run sink store from the cluster (the closure-captured
     # list is never mutated in the parent under the processes backend)
     return list(cluster.task("sink", 0).store)

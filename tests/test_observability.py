@@ -8,8 +8,7 @@ Four layers of contract:
 2. **Invisibility** -- ``observe='off'`` means *no observer object at
    all*: results and metrics are byte-identical to an unobserved run.
 3. **Tracing** -- the span-tree *shape* (component/task edges) of every
-   trace is identical across the inline, threads and processes
-   executors, batch and streaming; traces survive worker kill +
+   trace is identical across the inline and processes executors, batch and streaming; traces survive worker kill +
    recovery without duplicate spans.
 4. **Surfaces** -- ``profile()`` reports per-operator latencies and the
    skew gauge fires on genuinely skewed keys; the serving layer's
@@ -35,7 +34,6 @@ from repro.engine import (
 )
 from repro.engine.runner import run_plan
 from repro.obs import (
-    DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -56,7 +54,7 @@ from tests.batching_plans import (
     run_result_fingerprint,
 )
 
-EXECUTORS = ("inline", "threads", "processes")
+EXECUTORS = ("inline", "processes")
 
 
 def single_source_agg_plan() -> PhysicalPlan:
@@ -333,6 +331,29 @@ class TestObserver:
 # -- observe='off' is invisible -----------------------------------------
 
 
+def counter_fingerprint(metrics) -> dict:
+    """The TopologyMetrics counters observation must never move."""
+    return {
+        "emitted": {k: list(v) for k, v in metrics.emitted.items()},
+        "received": {k: list(v) for k, v in metrics.received.items()},
+        "edge_transfers": dict(metrics.edge_transfers),
+        "batches": {k: list(v) for k, v in metrics.batches.items()},
+        "paths": (metrics.columnar_rows, metrics.columnar_batches,
+                  metrics.row_rows, metrics.row_batches),
+    }
+
+
+def assert_one_histogram_sample_per_batch(observer, metrics):
+    """Every executed batch lands in operator_batch_seconds exactly once:
+    bolt deliveries per bolt component, source pulls per source."""
+    assert observer.level == "metrics"
+    for component, per_task in metrics.batches.items():
+        hist = observer.registry.merged_histogram(
+            "operator_batch_seconds", component=component)
+        assert hist.count == sum(per_task), component
+    assert metrics.row_batches + metrics.columnar_batches > 0
+
+
 class TestOffIsInvisible:
     def test_off_means_no_observer(self):
         result = run_plan(plan_online_agg())
@@ -342,13 +363,46 @@ class TestOffIsInvisible:
         assert explicit.observer is None
         assert sorted(result.results) == sorted(explicit.results)
 
-    def test_tracing_does_not_perturb_results_or_metrics(self):
-        baseline = run_result_fingerprint(run_plan(plan_online_agg()))
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_tracing_does_not_perturb_results_or_metrics(self, executor,
+                                                         batch_size):
+        runs = {}
+        for level in ("off", "metrics", "trace"):
+            result = run_plan(plan_online_agg(), options=ExecutionOptions(
+                observe=level, executor=executor, batch_size=batch_size))
+            runs[level] = result
+            if level != "off":
+                assert result.observer.level == level
+        baseline = runs["off"]
         for level in ("metrics", "trace"):
-            observed = run_plan(plan_online_agg(),
-                                options=ExecutionOptions(observe=level))
-            assert run_result_fingerprint(observed) == baseline
-            assert observed.observer.level == level
+            observed = runs[level]
+            assert run_result_fingerprint(observed) == \
+                run_result_fingerprint(baseline)
+            assert counter_fingerprint(observed.metrics) == \
+                counter_fingerprint(baseline.metrics)
+        assert_one_histogram_sample_per_batch(runs["metrics"].observer,
+                                              runs["metrics"].metrics)
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_streaming_tracing_does_not_perturb_snapshot_or_metrics(
+            self, executor, batch_size):
+        queries = {
+            level: stream_plan(plan_online_agg(), options=ExecutionOptions(
+                observe=level, executor=executor,
+                batch_size=batch_size)).run()
+            for level in ("off", "metrics", "trace")
+        }
+        baseline = queries["off"]
+        for level in ("metrics", "trace"):
+            observed = queries[level]
+            assert observed.snapshot() == baseline.snapshot()
+            assert counter_fingerprint(observed.cluster.metrics) == \
+                counter_fingerprint(baseline.cluster.metrics)
+        assert baseline.snapshot()  # not vacuous
+        assert_one_histogram_sample_per_batch(
+            queries["metrics"].observer, queries["metrics"].cluster.metrics)
 
     def test_streaming_off_has_no_observer_but_full_stats(self):
         query = stream_plan(plan_online_agg(),
@@ -380,9 +434,7 @@ class TestTraceMatrix:
                                          batch_size=16))
             shapes[executor] = trace_shapes(result.observer)
             results[executor] = sorted(result.results)
-        assert shapes["threads"] == shapes["inline"]
         assert shapes["processes"] == shapes["inline"]
-        assert results["threads"] == results["inline"]
         assert results["processes"] == results["inline"]
         # and the shapes are non-trivial: every trace reaches the sink
         assert shapes["inline"]
@@ -401,9 +453,7 @@ class TestTraceMatrix:
                                          batch_size=16)).run()
             shapes[executor] = trace_shapes(query.observer)
             snapshots[executor] = query.snapshot()
-        assert shapes["threads"] == shapes["inline"]
         assert shapes["processes"] == shapes["inline"]
-        assert snapshots["threads"] == snapshots["inline"]
         assert snapshots["processes"] == snapshots["inline"]
         assert len(shapes["inline"]) == 3  # 48 rows / batch 16
         for edges in shapes["inline"].values():

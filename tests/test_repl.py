@@ -105,8 +105,9 @@ class TestSetOption:
         assert ">= 1" in shell.handle_line("\\set batch_size 0")
 
     def test_set_executor(self, shell):
-        assert shell.handle_line("\\set executor threads") == "executor = threads"
-        assert shell.executor == "threads"
+        assert shell.handle_line("\\set executor processes") == \
+            "executor = processes"
+        assert shell.executor == "processes"
 
     def test_set_executor_invalid(self, shell):
         assert "must be" in shell.handle_line("\\set executor goroutines")
@@ -159,8 +160,8 @@ class TestSetOption:
         the compatibility properties are read/write."""
         shell.batch_size = 8
         assert shell.execution.batch_size == 8
-        shell.executor = "threads"
-        assert shell.execution.executor == "threads"
+        shell.executor = "processes"
+        assert shell.execution.executor == "processes"
         shell.parallelism = 2
         assert shell.execution.parallelism == 2
         shell.watch_rate = 50.0
@@ -186,7 +187,7 @@ class TestSetOption:
 
         monkeypatch.setattr(shell.session, "execute", spy)
         shell.handle_line("\\set batch_size 128")
-        shell.handle_line("\\set executor threads")
+        shell.handle_line("\\set executor processes")
         shell.handle_line("\\set parallelism 2")
         output = shell.handle_line(
             "SELECT COUNT(*) FROM customer, orders "
@@ -194,7 +195,7 @@ class TestSetOption:
         assert "rows" in output
         options = captured["options"]
         assert options.batch_size == 128
-        assert options.executor == "threads"
+        assert options.executor == "processes"
         assert options.parallelism == 2
 
 

@@ -39,12 +39,11 @@ class TestGoldenPlanEquivalence:
         assert query.snapshot() == expected
 
     @pytest.mark.parametrize("plan_name", sorted(GOLDEN_PLANS))
-    @pytest.mark.parametrize("batch_size", [8, 64])
-    def test_threads_snapshot_equals_run_plan(self, plan_name, batch_size):
+    def test_processes_snapshot_equals_run_plan(self, plan_name):
         builder = GOLDEN_PLANS[plan_name]
         expected = batch_snapshot(builder())
-        query = stream_plan(builder(), batch_size=batch_size,
-                            executor="threads").run()
+        query = stream_plan(builder(), batch_size=8,
+                            executor="processes").run()
         assert query.snapshot() == expected
 
     @pytest.mark.parametrize("plan_name", sorted(GOLDEN_PLANS))
@@ -110,7 +109,7 @@ class TestRetractionPlanEquivalence:
         return builder.build()
 
     @pytest.mark.parametrize("local_join", ["dbtoaster", "traditional"])
-    @pytest.mark.parametrize("executor", ["inline", "threads"])
+    @pytest.mark.parametrize("executor", ["inline", "processes"])
     @pytest.mark.parametrize("aggregate", [False, True])
     def test_compensated_stream_matches_clean_batch(self, local_join,
                                                     executor, aggregate):
@@ -175,7 +174,7 @@ class TestSlidingWindowEquivalence:
             ),
         )
 
-    @pytest.mark.parametrize("executor", ["inline", "threads"])
+    @pytest.mark.parametrize("executor", ["inline", "processes"])
     @pytest.mark.parametrize("batch_size", [1, 16, 128])
     def test_snapshot_equals_batch(self, executor, batch_size):
         expected = batch_snapshot(self.make_plan(), batch_size=batch_size)

@@ -63,7 +63,7 @@ class TestEquivalence:
     def test_parallelism_rejected_for_other_executors(self):
         with pytest.raises(ExecutorError, match="parallelism"):
             stream_plan(plan_join_only(),
-                        options=ExecutionOptions(executor="threads",
+                        options=ExecutionOptions(executor="inline",
                                                  parallelism=2))
 
     def test_epoch_zero_plus_preflush_always_commit(self):

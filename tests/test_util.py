@@ -21,10 +21,21 @@ class TestStableHash:
         import zlib
         assert stable_hash("abc") == zlib.crc32(b"abc")
 
-    def test_int_and_equal_float_hash_independently(self):
-        # ints and floats are hashed by different code paths on purpose
-        assert isinstance(stable_hash(42), int)
-        assert isinstance(stable_hash(42.0), int)
+    def test_equal_int_and_float_hash_equally(self):
+        # keys that compare equal must route to the same task whatever
+        # their Python type: 1 == 1.0 and 0 == 0.0 == -0.0
+        assert stable_hash(42) == stable_hash(42.0)
+        assert stable_hash(1) == stable_hash(1.0)
+        assert stable_hash(0.0) == stable_hash(-0.0) == stable_hash(0)
+        assert stable_hash(-7) == stable_hash(-7.0)
+        assert stable_hash((1, 2.0)) == stable_hash((1.0, 2))
+
+    def test_hash_column_matches_scalar_hash_of_equal_keys(self):
+        import numpy as np
+
+        from repro.core.columnar import hash_column
+        hashes = hash_column(np.array([1.0, -0.0, 2.5]))
+        assert hashes.tolist() == [stable_hash(v) for v in (1, 0, 2.5)]
 
     def test_large_int_folds_upper_bits(self):
         assert stable_hash(2**40 + 7) != stable_hash(7)
