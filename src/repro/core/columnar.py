@@ -80,10 +80,16 @@ class ColumnBatch:
         self._rows: Optional[List[tuple]] = None
 
     @classmethod
-    def from_rows(cls, rows: Sequence[tuple], sign: int = 1) -> "ColumnBatch":
+    def from_rows(cls, rows: Sequence[tuple], sign: int = 1,
+                  positions: Optional[Sequence[int]] = None) -> "ColumnBatch":
+        """Convert row tuples; ``positions`` converts only those columns,
+        in that order (a scan that reads a few columns of a wide row)."""
         rows = rows if isinstance(rows, list) else list(rows)
         if not rows:
             return cls([], 0, sign)
+        if positions is not None:
+            return cls([make_column([row[p] for row in rows])
+                        for p in positions], len(rows), sign)
         batch = cls([make_column(col) for col in zip(*rows)], len(rows), sign)
         batch._rows = rows
         return batch

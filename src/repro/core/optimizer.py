@@ -3,8 +3,10 @@
 Responsibilities (paper section 2):
 
 - push selections and projections as close to the data sources as possible
-  (scans already carry pushed-down filters; the optimizer additionally
-  projects each source down to the attributes needed downstream);
+  (scans already carry pushed-down filters; in aggregating join plans the
+  optimizer additionally projects each source down to the attributes read
+  downstream -- join, GROUP BY, aggregate and event-time columns.  Plain
+  join plans ship whole rows: ``LogicalPlan`` carries no SELECT list);
 - collect statistics *after* the pushed-down selections and mark skewed
   join attributes (section 3.4: the distribution that matters is the one
   the joiner actually sees);
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.expressions import Column
 from repro.core.logical import LogicalPlan, ScanDef, resolve_column
 from repro.core.predicates import JoinCondition, JoinSpec, RelationInfo
 from repro.core.schema import Relation, Schema, split_qualified
@@ -102,13 +105,16 @@ class Optimizer:
         filtered_rows = {
             source.name: self._filtered_rows(source) for source in sources
         }
-        infos = self._relation_infos(logical, schemas, filtered_rows)
         if len(logical.scans) == 1 and not logical.conditions:
             return self._single_relation_plan(logical, sources, schemas)
+        window = self.options.window
+        if logical.aggregates or logical.group_by:
+            window = self._push_projections(logical, schemas, sources)
+        infos = self._relation_infos(logical, schemas, sources, filtered_rows)
         if self.options.mode == "pipeline":
-            joins = self._pipeline_joins(logical, infos)
+            joins = self._pipeline_joins(logical, infos, window)
         else:
-            joins = [self._multiway_join(logical, infos)]
+            joins = [self._multiway_join(logical, infos, window)]
         aggregation = self._aggregation(logical, schemas, joins[-1], filtered_rows)
         plan = PhysicalPlan(sources=sources, joins=joins, aggregation=aggregation)
         return plan.validate()
@@ -130,6 +136,55 @@ class Optimizer:
             selection_cost_class=scan.cost_class,
             parallelism=parallelism,
         )
+
+    def _push_projections(self, logical: LogicalPlan,
+                          schemas: Dict[str, Schema],
+                          sources: List[SourceComponent]
+                          ) -> Optional[WindowSpec]:
+        """Project every source down to the attributes the query reads.
+
+        Only aggregating plans are projected: their output is the
+        GROUP BY and aggregate columns, while a plain join's SELECT list
+        is not part of the logical plan.  Each source keeps, in schema
+        order, its join-condition attributes, GROUP BY and aggregate
+        columns, and the event-time columns of the aggregation window and
+        of the join window.  Returns the join window with its
+        ``ts_positions`` remapped to the projected layout.
+        """
+        needed: Dict[str, set] = {alias: set() for alias in schemas}
+        for cond in logical.conditions:
+            for alias, attr in (cond.left, cond.right):
+                needed[alias].add(attr)
+        columns = list(logical.group_by)
+        columns.extend(item.column for item in logical.aggregates
+                       if item.column is not None)
+        clause = self.options.agg_window
+        if clause is not None and clause.ts_column is not None:
+            columns.append(clause.ts_column)
+        for name in columns:
+            alias, attr = resolve_column(name, schemas)
+            needed[alias].add(attr)
+        window = self.options.window
+        ts_positions = (window.ts_positions or {}) if window is not None else {}
+        for alias, position in ts_positions.items():
+            if alias in schemas:
+                needed[alias].add(schemas[alias].fields[position].name)
+        for source in sources:
+            names = [name for name in schemas[source.name].names
+                     if name in needed[source.name]]
+            # nothing to prune, or nothing left to ship: keep raw rows
+            if names and len(names) < schemas[source.name].arity:
+                source.projection = [Column(name) for name in names]
+                source.projection_names = names
+        if window is None or not ts_positions:
+            return window
+        projected = {source.name: source.output_schema() for source in sources}
+        return WindowSpec(window.kind, window.size, {
+            alias: (projected[alias].index_of(
+                schemas[alias].fields[position].name)
+                if alias in projected else position)
+            for alias, position in ts_positions.items()
+        })
 
     def _source_parallelism(self, size: int) -> int:
         """Universal producer-consumer balance: bigger inputs get more
@@ -153,11 +208,14 @@ class Optimizer:
         self,
         logical: LogicalPlan,
         schemas: Dict[str, Schema],
+        sources: List[SourceComponent],
         filtered_rows: Dict[str, List[tuple]],
     ) -> Dict[str, RelationInfo]:
         detector = SkewDetector(self.options.heavy_factor)
         machines = self.options.machines
         infos: Dict[str, RelationInfo] = {}
+        output_schemas = {source.name: source.output_schema()
+                          for source in sources}
         join_attrs: Dict[str, set] = {alias: set() for alias in schemas}
         for cond in logical.conditions:
             join_attrs[cond.left[0]].add(cond.left[1])
@@ -174,7 +232,8 @@ class Optimizer:
                 if detector.is_skewed(stats, machines):
                     skewed.add(attr)
             infos[alias] = RelationInfo(
-                alias, schema, len(rows), frozenset(skewed), top_freq
+                alias, output_schemas[alias], len(rows), frozenset(skewed),
+                top_freq
             )
         return infos
 
@@ -186,7 +245,8 @@ class Optimizer:
         return "hybrid"  # subsumes hash- and random-hypercube
 
     def _multiway_join(self, logical: LogicalPlan,
-                       infos: Dict[str, RelationInfo]) -> JoinComponent:
+                       infos: Dict[str, RelationInfo],
+                       window: Optional[WindowSpec]) -> JoinComponent:
         spec = JoinSpec(
             [infos[alias] for alias in logical.alias_names()], logical.conditions
         )
@@ -196,7 +256,7 @@ class Optimizer:
             machines=self.options.machines,
             scheme=self._choose_scheme(spec),
             local_join=self.options.local_join,
-            window=self.options.window,
+            window=window,
             seed=self.options.seed,
         )
 
@@ -223,7 +283,8 @@ class Optimizer:
         return order
 
     def _pipeline_joins(self, logical: LogicalPlan,
-                        infos: Dict[str, RelationInfo]) -> List[JoinComponent]:
+                        infos: Dict[str, RelationInfo],
+                        window: Optional[WindowSpec]) -> List[JoinComponent]:
         """Left-deep pipeline of 2-way joins (the paper's baseline)."""
         order = self._join_order(logical, infos)
         joins: List[JoinComponent] = []
@@ -256,7 +317,7 @@ class Optimizer:
                 machines=self.options.machines,
                 scheme=scheme,
                 local_join=self.options.local_join,
-                window=self.options.window,
+                window=window,
                 seed=self.options.seed,
             )
             joins.append(component)

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Union
 from repro.core.expressions import Expression, Predicate
 from repro.core.predicates import JoinSpec
 from repro.core.schema import Relation, Schema
-from repro.engine.operators import AggregateSpec
+from repro.engine.operators import AggregateSpec, projection_schema
 from repro.engine.windows import WindowSpec
 from repro.partitioning.base import Partitioner
 
@@ -40,10 +40,8 @@ class SourceComponent:
     def output_schema(self) -> Schema:
         if self.projection is None:
             return self.relation.schema
-        names = self.projection_names or [
-            f"expr{i}" for i in range(len(self.projection))
-        ]
-        return Schema.of(*names)
+        return projection_schema(self.projection, self.relation.schema,
+                                 self.projection_names)
 
 
 @dataclass

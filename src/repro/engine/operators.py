@@ -14,8 +14,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.columnar import ColumnBatch
-from repro.core.expressions import ColumnarUnsupported, Expression, Predicate
-from repro.core.schema import Schema
+from repro.core.expressions import (
+    Column,
+    ColumnarUnsupported,
+    Expression,
+    Predicate,
+)
+from repro.core.schema import Field, Schema
 
 
 class Selection:
@@ -98,6 +103,25 @@ class Selection:
         self._fn = self.predicate.compile(self.schema)
 
 
+def projection_schema(expressions: Sequence[Expression], schema: Schema,
+                      names: Optional[Sequence[str]] = None) -> Schema:
+    """Output schema of projecting ``schema`` through ``expressions``.
+
+    A pure column reference keeps its base field's type (renamed when
+    ``names`` says so); any other expression is typed ``int``, the
+    schema default.  ``names`` defaults to ``expr0, expr1, ...``.
+    """
+    if names is None:
+        names = [f"expr{i}" for i in range(len(expressions))]
+    if len(names) != len(expressions):
+        raise ValueError("one name per projected expression required")
+    return Schema(
+        Field(name, schema.field(expr.name).type)
+        if isinstance(expr, Column) else Field(name)
+        for expr, name in zip(expressions, names)
+    )
+
+
 class Projection:
     """Maps rows to a new schema through compiled expressions.
 
@@ -112,11 +136,7 @@ class Projection:
         self._fns = [expr.compile(schema) for expr in self.expressions]
         self._cfns = None
         self._cfns_resolved = False
-        if names is None:
-            names = [f"expr{i}" for i in range(len(self.expressions))]
-        if len(names) != len(self.expressions):
-            raise ValueError("one name per projected expression required")
-        self.output_schema = Schema.of(*names)
+        self.output_schema = projection_schema(self.expressions, schema, names)
 
     def apply(self, row: tuple) -> tuple:
         return tuple(fn(row) for fn in self._fns)

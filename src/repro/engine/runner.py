@@ -13,6 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions
 from repro.core.options import ExecutionOptions, merge_options
+from repro.core.schema import Schema
 from repro.engine.component import (
     AggComponent,
     JoinComponent,
@@ -46,18 +47,44 @@ class SourceSpout(Spout):
         self._position = 0
         self._step = 1
         self.read = 0
-        #: columnar-path toggle, set by LocalCluster.run before draining
+        #: raw columns a columnar scan converts: only those the selection
+        #: and projection read (None = every column)
+        self.scan_positions: Optional[List[int]] = None
+        if component.projection is not None:
+            schema = component.relation.schema
+            read = {name for expr in component.projection
+                    for name in expr.columns()}
+            if component.predicate is not None:
+                read.update(component.predicate.columns())
+            if len(read) < schema.arity:
+                self.scan_positions = sorted(schema.index_of(name)
+                                             for name in read)
         self.columnar = False
+
+    @property
+    def columnar(self) -> bool:
+        """Columnar-path toggle, set by LocalCluster.run before draining."""
+        return self._columnar
+
+    @columnar.setter
+    def columnar(self, enabled: bool):
+        # a columnar scan sees only the scan_positions columns, so the
+        # selection and projection compile against that narrowed layout
+        self._columnar = enabled
+        component = self.component
+        schema = component.relation.schema
+        if enabled and self.scan_positions is not None:
+            schema = Schema(schema.fields[p] for p in self.scan_positions)
         self.selection: Optional[Selection] = None
         self.projection: Optional[Projection] = None
         if component.predicate is not None:
             self.selection = Selection(
-                component.predicate, component.relation.schema,
+                component.predicate, schema,
                 cost_class=component.selection_cost_class,
             )
         if component.projection is not None:
             self.projection = Projection(
-                component.projection, component.relation.schema,
+                component.projection, schema,
                 names=component.projection_names,
             )
 
@@ -153,7 +180,7 @@ class SourceSpout(Spout):
                 chunk = rows[position:position + step * max_rows:step]
             self._position = position + step * len(chunk)
             self.read += len(chunk)
-            batch = ColumnBatch.from_rows(chunk)
+            batch = ColumnBatch.from_rows(chunk, positions=self.scan_positions)
             if selection is not None:
                 batch = selection.apply_batch(batch)
             if projection is not None:

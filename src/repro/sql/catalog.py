@@ -59,6 +59,10 @@ class SqlSession:
         logical = parse_query(sql, self._schemas())
         physical = Optimizer(self.catalog, self.options).compile(logical)
         parts = [logical.dag()]
+        for source in physical.sources:
+            if source.projection is not None:
+                parts.append(f"  {source.name}: project "
+                             f"{source.output_schema()!r}")
         for join in physical.joins:
             parts.append(f"  {join.name}: scheme={join.scheme} "
                          f"local={join.local_join} machines={join.machines}")

@@ -15,16 +15,19 @@ of two interchangeable backends:
 Execution is *staged*: components are grouped into topological levels
 (every edge goes from a lower to a strictly higher level), and each level
 runs as one parallel wave with a barrier after it.  Within a wave every
-worker drains or executes only the tasks it owns, routes the emissions
-task-locally through its own copy of the stream groupings, and hands the
-routed micro-batches back to the coordinator, which delivers them to the
-owning workers in later waves.  The barrier guarantees what the inline
-loop gets for free: a component's ``finish()`` runs only after every
-upstream tuple has been delivered, so snapshot aggregations and
-retractions stay correct.
+worker drains or executes only the tasks it owns and routes the
+emissions task-locally through its own copy of the stream groupings.  A
+routed micro-batch whose target task the worker owns stays in the worker
+until the target's wave; the others go back to the coordinator, which
+relays them to the owning workers in later waves.  The barrier
+guarantees what the inline loop gets for free: a component's
+``finish()`` runs only after every upstream tuple has been routed, so
+snapshot aggregations and retractions stay correct.
 
-Workers merge deterministically (worker-id order), so a run is
-reproducible; result *multisets* and per-component totals are identical
+Every batch is tagged with the wave and the worker that routed it, and a
+task's inbox merges held and relayed batches in (wave, worker id) order
+-- the order a coordinator relaying everything would deliver -- so a run
+is reproducible; result *multisets* and per-component totals are identical
 across backends, only the tuple interleaving differs (the operators are
 order-insensitive up to the final multiset, exactly as for ``batch_size``
 in the inline loop).
@@ -56,7 +59,8 @@ class ExecutorError(RuntimeError):
 
 def default_parallelism() -> int:
     """Worker count used when ``parallelism`` is not given: the machine's
-    cores, capped at 4 (diminishing returns for coordinator-relayed IPC)."""
+    cores, capped at 4 (diminishing returns: batches bound for another
+    worker's tasks are still relayed through the coordinator)."""
     return max(1, min(4, os.cpu_count() or 1))
 
 
@@ -228,6 +232,11 @@ class Router:
 MetricDeltas = Tuple[List[tuple], List[tuple], List[tuple], List[int],
                      Optional[dict]]
 
+#: routed entries ``(source, stream, rows[, ctx])`` bound for one task,
+#: tagged with the wave and the worker that routed them:
+#: ``(wave, worker_id, entries)``
+Chunk = Tuple[int, int, List[tuple]]
+
 
 class WorkerState:
     """Everything one shared-nothing worker owns: tasks + routing state."""
@@ -256,16 +265,37 @@ class WorkerState:
         for (name, task_index), owner in assignment.items():
             if owner == worker_id:
                 self.owned.setdefault(name, {})[task_index] = tasks[name][task_index]
+        #: routing targets this worker delivers to itself
+        self.local_keys = {
+            key for key, owner in assignment.items() if owner == worker_id
+        }
+        #: items routed to owned tasks, held here until the target's wave
+        self.held: Dict[Tuple[str, int], List[Chunk]] = {}
 
-    def run_wave(self, components: Sequence[str],
-                 delivered: Dict[Tuple[str, int], List[Tuple[str, str, List[tuple]]]],
-                 ) -> Tuple[List[WorkItem], MetricDeltas]:
+    def _inbox(self, key: Tuple[str, int], delivered: Dict[Tuple[str, int],
+               List[Chunk]]) -> List[tuple]:
+        """The batches of one owned task: held and delivered chunks merged
+        in (wave, worker id) order -- the coordinator's relay order."""
+        chunks = self.held.pop(key, []) + delivered.get(key, [])
+        chunks.sort(key=lambda chunk: chunk[:2])
+        return [entry for _wave, _worker, entries in chunks
+                for entry in entries]
+
+    def run_wave(self, wave: int, components: Sequence[str],
+                 delivered: Dict[Tuple[str, int], List[Chunk]],
+                 ) -> Tuple[Dict[Tuple[str, int], List[tuple]],
+                            Dict[Tuple[str, int], int], MetricDeltas]:
         """Execute one topological level on this worker's owned tasks.
 
         Spout components are drained to exhaustion in ``batch_size``
-        micro-batches; bolt components execute their delivered batches in
-        arrival order and then flush (``finish``) -- the coordinator's
-        barrier guarantees every input batch has already been delivered.
+        micro-batches; bolt components execute their batches in arrival
+        order and then flush (``finish``) -- the coordinator's barrier
+        guarantees every input batch has already been routed.
+
+        Routed items whose target task this worker owns stay here until
+        the target's wave; only the others return to the coordinator.
+        Returns those remote entries per target task, the number of
+        entries held per task, and the wave's metric deltas.
 
         Observed runs also time every batch, and at the trace level
         delivered entries and routed items carry a trailing span context.
@@ -315,7 +345,7 @@ class WorkerState:
             else:
                 for task_index in sorted(owned):
                     bolt = owned[task_index]
-                    for entry in delivered.get((name, task_index), ()):
+                    for entry in self._inbox((name, task_index), delivered):
                         if trace:
                             source, stream, rows, ctx = entry
                         else:
@@ -350,8 +380,20 @@ class WorkerState:
                             # flush emissions are punctuations, untraced
                             items = [item + (None,) for item in items]
                         out.extend(items)
-        return out, (emits, receives, batches, paths,
-                     None if obs is None else obs.drain())
+        routed: Dict[Tuple[str, int], List[tuple]] = {}
+        for item in out:
+            routed.setdefault(item[:2], []).append(item[2:])
+        remote: Dict[Tuple[str, int], List[tuple]] = {}
+        for key, entries in routed.items():
+            if key in self.local_keys:
+                self.held.setdefault(key, []).append(
+                    (wave, self.worker_id, entries))
+            else:
+                remote[key] = entries
+        held = {key: sum(len(chunk[2]) for chunk in chunks)
+                for key, chunks in self.held.items()}
+        return remote, held, (emits, receives, batches, paths,
+                              None if obs is None else obs.drain())
 
     def exports(self) -> Dict[Tuple[str, int], object]:
         """Final owned task instances, for post-run state extraction."""
@@ -373,9 +415,9 @@ def worker_loop(state: WorkerState, recv, send):
         message = recv()
         kind = message[0]
         if kind == "wave":
-            _kind, components, delivered = message
+            _kind, wave, components, delivered = message
             try:
-                send(("ok", state.run_wave(components, delivered)))
+                send(("ok", state.run_wave(wave, components, delivered)))
             except Exception:
                 send(("error", traceback.format_exc()))
         elif kind == "collect":
@@ -490,12 +532,14 @@ class ProcessExecutor:
         cluster = self.cluster
         metrics = cluster.metrics
         observer = cluster.observer
-        trace = observer is not None and observer.trace
         levels = topological_levels(cluster.topology)
         workers = self._fork_workers(batch_size)
         try:
-            pending: Dict[Tuple[str, int], List[tuple]] = {}
-            for level in levels:
+            # remote items per target task, as (wave, worker id, entries)
+            # chunks; each worker also reports what it holds for itself
+            pending: Dict[Tuple[str, int], List[Chunk]] = {}
+            held: List[Dict[Tuple[str, int], int]] = [{} for _ in workers]
+            for wave, level in enumerate(levels):
                 for worker_id, worker in enumerate(workers):
                     delivered = {}
                     for name in level:
@@ -504,14 +548,14 @@ class ProcessExecutor:
                             key = (name, task_index)
                             if self.assignment[key] != worker_id:
                                 continue
-                            items = pending.pop(key, None)
-                            if items:
-                                delivered[key] = items
-                    worker.send(("wave", level, delivered))
-                # barrier: collect every worker's wave in worker-id order,
-                # so the merged delivery order is deterministic
-                for worker in workers:
-                    routed, deltas = self._reply(worker)
+                            chunks = pending.pop(key, None)
+                            if chunks:
+                                delivered[key] = chunks
+                    worker.send(("wave", wave, level, delivered))
+                # barrier: collect every worker's wave in worker-id order;
+                # chunk tags make the merged delivery order deterministic
+                for worker_id, worker in enumerate(workers):
+                    routed, held[worker_id], deltas = self._reply(worker)
                     emits, receives, batches, paths, obs_payload = deltas
                     for name, task_index, count in emits:
                         metrics.record_emit(name, task_index, count)
@@ -522,24 +566,19 @@ class ProcessExecutor:
                     metrics.merge_path_counts(*paths)
                     if observer is not None:
                         observer.merge_worker_obs(obs_payload)
-                    if trace:
-                        for target, task_index, source, stream, rows, ctx \
-                                in routed:
-                            pending.setdefault((target, task_index), []).append(
-                                (source, stream, rows, ctx)
-                            )
-                    else:
-                        for target, task_index, source, stream, rows in routed:
-                            pending.setdefault((target, task_index), []).append(
-                                (source, stream, rows)
-                            )
-                if observer is not None and pending:
-                    observer.on_queue_depth(
-                        "staged",
-                        sum(len(items) for items in pending.values()))
-            if pending:  # pragma: no cover - level invariant violated
+                    for key, entries in routed.items():
+                        pending.setdefault(key, []).append(
+                            (wave, worker_id, entries))
+                if observer is not None:
+                    depth = sum(len(chunk[2]) for chunks in pending.values()
+                                for chunk in chunks)
+                    depth += sum(sum(counts.values()) for counts in held)
+                    if depth:
+                        observer.on_queue_depth("staged", depth)
+            undelivered = sorted(set(pending).union(*held))
+            if undelivered:
                 raise ExecutorError(
-                    f"undelivered batches after final wave: {sorted(pending)}"
+                    f"undelivered batches after final wave: {undelivered}"
                 )
             # ship the final task state back into the cluster
             for worker in workers:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.expressions import Column
 from repro.core.options import ExecutionOptions, merge_options
 from repro.engine.component import PhysicalPlan, SourceComponent
 from repro.engine.operators import Projection, Selection
@@ -139,27 +140,34 @@ def _plan_ts_positions(plan: PhysicalPlan) -> Dict[str, int]:
     the aggregation unchanged) -- join plans must pass ``ts_positions``
     explicitly (the SQL/functional front-ends resolve the event-time
     column and do)."""
-    # window positions index the rows the *operator* sees; they map back
-    # to the replayed raw rows only for sources without a co-located
-    # projection (the pump applies the projection after polling)
-    unprojected = {
-        source.name for source in plan.sources if source.projection is None
-    }
+    # window positions index the rows the *operator* sees, while the
+    # pump replays raw rows and projects after polling: map each position
+    # back to its raw column (a computed projection has none)
+    raw: Dict[str, List[Optional[int]]] = {}
+    for source in plan.sources:
+        schema = source.relation.schema
+        if source.projection is None:
+            raw[source.name] = list(range(schema.arity))
+        else:
+            raw[source.name] = [
+                schema.index_of(expr.name) if isinstance(expr, Column)
+                else None for expr in source.projection]
     positions: Dict[str, int] = {}
     for join in plan.joins:
         window = join.window
         if window is not None and window.ts_positions is not None:
             for rel_name, position in window.ts_positions.items():
-                if rel_name in unprojected:
-                    positions[rel_name] = position
+                if rel_name in raw and raw[rel_name][position] is not None:
+                    positions[rel_name] = raw[rel_name][position]
     aggregation = plan.aggregation
     if (aggregation is not None and not plan.joins
             and aggregation.window is not None
             and aggregation.window.ts_positions is not None):
         position = next(iter(aggregation.window.ts_positions.values()))
         for source in plan.sources:
-            if source.projection is None:
-                positions.setdefault(source.name, position)
+            column = raw[source.name][position]
+            if column is not None:
+                positions.setdefault(source.name, column)
     return positions
 
 

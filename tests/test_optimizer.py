@@ -72,9 +72,17 @@ class TestCompilation:
         optimizer = Optimizer(catalog, OptimizerOptions(machines=6))
         physical = optimizer.compile(rst_logical())
         result = run_plan(physical)
-        data = {name: catalog.get(name).rows for name in ("R", "S", "T")}
+        # the sources ship projected rows: R keeps only y, which is
+        # therefore the first column of every join output row
+        data = {}
+        for source in physical.sources:
+            schema = source.relation.schema
+            positions = [schema.index_of(name)
+                         for name in source.output_schema().names]
+            data[source.name] = [tuple(row[p] for p in positions)
+                                 for row in source.relation.rows]
         spec = physical.joins[0].spec
-        expected = Counter(row[1] for row in reference_join(spec, data))
+        expected = Counter(row[0] for row in reference_join(spec, data))
         assert sorted(result.results) == sorted(expected.items())
 
     def test_pipeline_plan_matches_multiway(self):
@@ -132,8 +140,10 @@ class TestCompilation:
             rst_logical()
         )
         join = physical.joins[0]
-        # group on R.y, count(*): only one column crosses the network
-        assert join.output_positions == [1]
+        # R.x is read by nothing, so R ships only y ...
+        assert physical.sources[0].projection_names == ["y"]
+        # ... and grouping on R.y with count(*) sends one column onward
+        assert join.output_positions == [0]
 
     def test_aggregation_key_domain_for_small_groups(self):
         catalog = catalog_rst(seed=77, n=100)
