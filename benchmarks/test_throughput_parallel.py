@@ -21,6 +21,7 @@ from collections import Counter
 import pytest
 
 from repro.bench import multiway_join_plan
+from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
 
 from benchmarks.conftest import record_table
@@ -48,8 +49,8 @@ def test_throughput_multiway_join(benchmark, executor, parallelism):
     outputs = []
 
     def run():
-        result = run_plan(plan, batch_size=BATCH_SIZE, executor=executor,
-                          parallelism=parallelism)
+        result = run_plan(plan, options=ExecutionOptions(
+            batch_size=BATCH_SIZE, executor=executor, parallelism=parallelism))
         outputs.append(Counter(result.results))
         return result
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.expressions import Predicate
 from repro.core.logical import AggItem, LogicalPlan, ScanDef, resolve_column
 from repro.core.optimizer import Catalog, Optimizer, OptimizerOptions
-from repro.core.options import ExecutionOptions, merge_options
+from repro.core.options import ExecutionOptions
 from repro.core.predicates import BandCondition, EquiCondition, ThetaCondition
 from repro.core.schema import Schema
 from repro.engine.runner import RunResult, run_plan
@@ -195,7 +195,11 @@ class Stream:
         return plan.validate(self._schemas())
 
     def execute(self, **option_overrides) -> RunResult:
-        """Run the stream as a full-result query (join output, no grouping)."""
+        """Run the stream as a full-result query (join output, no grouping).
+
+        ``options=ExecutionOptions(...)`` overlays the context's
+        execution defaults; any other keyword overrides a field of the
+        context's optimizer options."""
         return _execute(self._context, self.logical_plan(), option_overrides)
 
     def stream(self, **option_overrides):
@@ -204,8 +208,7 @@ class Stream:
         The terminal counterpart of :meth:`execute` for long-lived
         queries: returns a :class:`repro.streaming.StreamingQuery`
         emitting live result deltas.  Accepts the same optimizer
-        overrides plus ``batch_size``, ``executor`` ('inline' |
-        'processes') and ``rate`` (replayed rows/second per source)."""
+        overrides and ``options=`` as :meth:`execute`."""
         return _stream(self._context, self.logical_plan(), option_overrides)
 
 
@@ -249,30 +252,22 @@ class GroupedStream:
 def _compile(context: QueryContext, logical: LogicalPlan, overrides: dict):
     import dataclasses
 
+    knobs = [field.name for field in dataclasses.fields(ExecutionOptions)
+             if field.name in overrides]
+    if knobs:
+        raise TypeError(f"{knobs[0]!r} is an execution knob: pass "
+                        f"options=ExecutionOptions({knobs[0]}=...)")
     options = context.options
     if overrides:
         options = dataclasses.replace(options, **overrides)
     return options, Optimizer(context.catalog, options).compile(logical)
 
 
-def _execution_options(context: QueryContext, overrides: dict,
-                       knobs: tuple) -> ExecutionOptions:
-    """Pull the execution knobs out of the optimizer overrides: context
-    execution defaults, overlaid by ``options=`` and the legacy kwargs
-    (through the shared deprecation adapter)."""
-    exec_options = overrides.pop("options", None)
-    legacy = {name: overrides.pop(name, None) for name in knobs}
-    return context.execution.overlay(
-        merge_options(exec_options, legacy, stacklevel=5))
-
-
 def _execute(context: QueryContext, logical: LogicalPlan,
              overrides: dict) -> RunResult:
-    # execution knobs ride along with the optimizer overrides, preferably
-    # bundled as options=ExecutionOptions(...)
-    merged = _execution_options(
-        context, overrides,
-        ("batch_size", "executor", "parallelism", "columnar"))
+    # options= overlays the context's execution defaults; every other
+    # override is an optimizer option
+    merged = context.execution.overlay(overrides.pop("options", None))
     _options, physical = _compile(context, logical, overrides)
     return run_plan(physical, options=merged)
 
@@ -280,14 +275,7 @@ def _execute(context: QueryContext, logical: LogicalPlan,
 def _stream(context: QueryContext, logical: LogicalPlan, overrides: dict):
     from repro.streaming.runner import agg_window_ts_positions, stream_plan
 
-    if "parallelism" in overrides:
-        raise ValueError(
-            "the functional streaming terminal has no parallelism knob "
-            "(drop parallelism=, or use .execute() for the staged "
-            "'processes' backend)"
-        )
-    merged = _execution_options(
-        context, overrides, ("batch_size", "executor", "rate", "columnar"))
+    merged = context.execution.overlay(overrides.pop("options", None))
     options, physical = _compile(context, logical, overrides)
     ts_positions = agg_window_ts_positions(
         context.catalog, logical.scans, options.agg_window)

@@ -15,10 +15,11 @@ over whole micro-batches; per-tuple *results* are unchanged (the engine's
 operators are order-insensitive up to the final multiset), only the
 interleaving differs.
 
-``run(executor=...)`` selects the execution backend: ``inline`` (this
-module's single-threaded loop, the default), or the staged shared-nothing
-``processes`` backend of :mod:`repro.storm.executor`, which spreads the
-tasks across forked workers exchanging micro-batches.
+The resolved ``options.executor`` selects the execution backend:
+``inline`` (this module's single-threaded loop, the default), or the
+staged shared-nothing ``processes`` backend of
+:mod:`repro.storm.executor`, which spreads the tasks across forked
+workers exchanging micro-batches.
 """
 
 from __future__ import annotations
@@ -108,54 +109,49 @@ class LocalCluster:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, max_tuples: Optional[int] = None, batch_size: int = 1,
-            executor: str = "inline", parallelism: Optional[int] = None,
-            columnar: Optional[bool] = None,
-            observe: Optional[str] = None) -> TopologyMetrics:
+    def run(self, max_tuples: Optional[int] = None,
+            options: Optional[ExecutionOptions] = None) -> TopologyMetrics:
         """Drain all spouts, then flush bolts in topological order.
 
-        ``batch_size`` is the number of tuples pulled from each spout per
-        round; 1 gives exact per-tuple interleaving.  Downstream batches
-        derive from the spout batches but are not re-chunked: a bolt
-        emitting more rows than ``batch_size`` forwards them as one batch.
-
-        ``executor`` selects the backend: ``"inline"`` (default) runs
-        every task in this thread; ``"processes"`` spreads the tasks over
-        ``parallelism`` shared-nothing worker processes (see
-        :mod:`repro.storm.executor`).  Both backends produce the same
-        result multiset and per-component totals.
-
-        ``columnar`` turns the columnar execution path on/off; the
-        default (None) enables it for ``batch_size >= COLUMNAR_MIN_BATCH``
-        -- below that the per-batch vector overhead outweighs the win, and
-        ``batch_size=1`` keeps the seed engine's byte-identical path.
+        Args:
+            max_tuples: stop after this many spout emissions (inline
+                only: parallel spout draining has no global cursor).
+            options: execution knobs, resolved (and validated) here
+                with :meth:`ExecutionOptions.resolve`; None = the
+                defaults.  ``batch_size`` tuples are pulled from each
+                spout per round -- 1 gives exact per-tuple interleaving;
+                downstream batches derive from the spout batches but are
+                not re-chunked.  ``executor`` ``'inline'`` runs every
+                task in this thread, ``'processes'`` spreads them over
+                ``parallelism`` shared-nothing worker processes (see
+                :mod:`repro.storm.executor`); both produce the same
+                result multiset and per-component totals.  ``columnar``
+                flags the spouts' columnar path, and ``observe``
+                attaches an :class:`~repro.obs.Observer` unless one is
+                already set.
         """
-        # ExecutionOptions.resolve is the single owner of the knob
-        # defaults (incl. columnar-on-at-batch_size>=COLUMNAR_MIN_BATCH)
-        resolved = ExecutionOptions(
-            batch_size=batch_size, executor=executor,
-            parallelism=parallelism, columnar=columnar,
-            observe=observe).resolve()
-        batch_size, columnar = resolved.batch_size, resolved.columnar
-        if resolved.observe != "off" and self._observer is None:
-            self.set_observer(Observer(resolved.observe))
-        self._set_columnar(columnar)
+        options = (options or ExecutionOptions()).resolve()
+        if options.observe != "off" and self._observer is None:
+            self.set_observer(Observer(options.observe))
+        self._set_columnar(options.columnar)
         started = time.perf_counter()
         try:
-            return self._run_inline(max_tuples, batch_size, executor,
-                                    parallelism)
+            return self._run_inline(max_tuples, options)
         finally:
             self.metrics.elapsed = time.perf_counter() - started
 
-    def _run_inline(self, max_tuples, batch_size, executor, parallelism):
-        if executor not in (None, "inline"):
+    def _run_inline(self, max_tuples: Optional[int],
+                    options: ExecutionOptions) -> TopologyMetrics:
+        if options.executor != "inline":
             if max_tuples is not None:
                 raise ExecutorError(
                     "max_tuples is only supported by the inline executor "
                     "(parallel spout draining has no global tuple cursor)"
                 )
-            backend = create_executor(executor, self, parallelism)
-            return backend.run(batch_size=batch_size)
+            backend = create_executor(options.executor, self,
+                                      options.parallelism)
+            return backend.run(batch_size=options.batch_size)
+        batch_size = options.batch_size
         self._coalesce = batch_size > 1
         observer = self._observer
         trace = observer is not None and observer.trace

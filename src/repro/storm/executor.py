@@ -57,6 +57,20 @@ class ExecutorError(RuntimeError):
     """A parallel backend could not run the topology."""
 
 
+class WorkerDied(ExecutorError):
+    """A worker process is gone (crash, SIGKILL, lost pipe).
+
+    Raised by staged workers' pipe ends and by :class:`ResidentWorkerPool`
+    commands; carries the dead worker ids so the supervisor (the
+    streaming coordinator) can respawn exactly those workers and run the
+    recovery protocol.
+    """
+
+    def __init__(self, worker_ids: List[int]):
+        super().__init__(f"worker(s) {sorted(worker_ids)} died")
+        self.worker_ids = sorted(worker_ids)
+
+
 def default_parallelism() -> int:
     """Worker count used when ``parallelism`` is not given: the machine's
     cores, capped at 4 (diminishing returns: batches bound for another
@@ -231,6 +245,28 @@ class Router:
 #: when the run is unobserved)
 MetricDeltas = Tuple[List[tuple], List[tuple], List[tuple], List[int],
                      Optional[dict]]
+
+
+def fold_metric_deltas(metrics, observer, deltas: MetricDeltas):
+    """Fold one worker's :data:`MetricDeltas` into the coordinator's
+    :class:`~repro.storm.metrics.TopologyMetrics`, and its observability
+    payload into ``observer`` (None = unobserved, or a recovery replay
+    whose payloads are discarded)."""
+    emits, receives, batches, paths, obs_payload = deltas
+    for name, task_index, count in emits:
+        metrics.record_emit(name, task_index, count)
+    for source, target, task_index, count in receives:
+        metrics.record_receive(source, target, task_index, count)
+    for name, task_index in batches:
+        metrics.record_batch(name, task_index)
+    columnar_rows, columnar_batches, row_rows, row_batches = paths
+    metrics.columnar_rows += columnar_rows
+    metrics.columnar_batches += columnar_batches
+    metrics.row_rows += row_rows
+    metrics.row_batches += row_batches
+    if observer is not None:
+        observer.merge_worker_obs(obs_payload)
+
 
 #: routed entries ``(source, stream, rows[, ctx])`` bound for one task,
 #: tagged with the wave and the worker that routed them:
@@ -443,10 +479,12 @@ class _ProcessWorker:
     touches only its owned slice, so state lives inside the owning worker
     and only serialized batches and final task exports cross the pipe.
     ``Connection.send`` pickles in the caller, so a pickle-unsafe reply
-    becomes an ``("error", ...)`` message instead of a silent hang.
+    becomes an ``("error", ...)`` message instead of a silent hang.  A
+    lost pipe (the worker died) raises :class:`WorkerDied` naming it.
     """
 
     def __init__(self, context, state: WorkerState):
+        self.worker_id = state.worker_id
         self._parent_conn, child_conn = context.Pipe()
         self._process = context.Process(
             target=_process_worker_main, args=(state, child_conn), daemon=True
@@ -455,10 +493,16 @@ class _ProcessWorker:
         child_conn.close()
 
     def send(self, message):
-        self._parent_conn.send(message)
+        try:
+            self._parent_conn.send(message)
+        except (BrokenPipeError, EOFError, OSError):
+            raise WorkerDied([self.worker_id]) from None
 
     def recv(self):
-        return self._parent_conn.recv()
+        try:
+            return self._parent_conn.recv()
+        except (BrokenPipeError, EOFError, OSError):
+            raise WorkerDied([self.worker_id]) from None
 
     def stop(self):
         try:
@@ -527,8 +571,6 @@ class ProcessExecutor:
 
     def run(self, batch_size: int = 1):
         """Execute the topology to completion; returns the cluster metrics."""
-        if batch_size < 1:
-            raise ExecutorError(f"batch_size must be >= 1, got {batch_size}")
         cluster = self.cluster
         metrics = cluster.metrics
         observer = cluster.observer
@@ -556,16 +598,7 @@ class ProcessExecutor:
                 # chunk tags make the merged delivery order deterministic
                 for worker_id, worker in enumerate(workers):
                     routed, held[worker_id], deltas = self._reply(worker)
-                    emits, receives, batches, paths, obs_payload = deltas
-                    for name, task_index, count in emits:
-                        metrics.record_emit(name, task_index, count)
-                    for source, target, task_index, count in receives:
-                        metrics.record_receive(source, target, task_index, count)
-                    for name, task_index in batches:
-                        metrics.record_batch(name, task_index)
-                    metrics.merge_path_counts(*paths)
-                    if observer is not None:
-                        observer.merge_worker_obs(obs_payload)
+                    fold_metric_deltas(metrics, observer, deltas)
                     for key, entries in routed.items():
                         pending.setdefault(key, []).append(
                             (wave, worker_id, entries))
@@ -603,19 +636,6 @@ class ProcessExecutor:
 # ---------------------------------------------------------------------------
 # Resident workers (the streaming 'processes' executor)
 # ---------------------------------------------------------------------------
-
-
-class WorkerDied(ExecutorError):
-    """A resident worker process is gone (crash, SIGKILL, lost pipe).
-
-    Raised by :class:`ResidentWorkerPool` commands; carries the dead
-    worker ids so the supervisor (the streaming coordinator) can respawn
-    exactly those workers and run the recovery protocol.
-    """
-
-    def __init__(self, worker_ids: List[int]):
-        super().__init__(f"resident worker(s) {sorted(worker_ids)} died")
-        self.worker_ids = sorted(worker_ids)
 
 
 class ResidentWorkerState:

@@ -72,14 +72,6 @@ class TopologyMetrics:
             self.row_rows += rows
             self.row_batches += 1
 
-    def merge_path_counts(self, columnar_rows: int, columnar_batches: int,
-                          row_rows: int, row_batches: int):
-        """Fold in path counters collected by a parallel worker."""
-        self.columnar_rows += columnar_rows
-        self.columnar_batches += columnar_batches
-        self.row_rows += row_rows
-        self.row_batches += row_batches
-
     def rows_per_second(self, component: str) -> float:
         """Input rows of ``component`` over the run's wall-clock time."""
         if not self.elapsed:

@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.checkpoint import ChangeLog, CheckpointStore
 from repro.checkpoint.log import DATA as _LOG_DATA
 from repro.core.columnar import ColumnBatch, ColumnEmissions
+from repro.core.options import ExecutionOptions
 from repro.engine.operators import Projection, Selection
 from repro.obs import Observer
 from repro.storm.cluster import LocalCluster
@@ -58,6 +59,7 @@ from repro.storm.executor import (
     WorkerDied,
     WorkItem,
     ensure_task_local_routing,
+    fold_metric_deltas,
 )
 from repro.storm.failures import FaultInjector
 from repro.storm.metrics import CheckpointMetrics, StreamMetrics
@@ -127,27 +129,28 @@ class StreamingCluster:
 
     ``sources`` maps each spout component name to the
     :class:`PushSource` that stands in for it; emissions are attributed
-    to task 0 of that component.  Use :meth:`subscribe` before running to
+    to task 0 of that component.  ``options`` carries the execution
+    knobs, resolved here with ``ExecutionOptions.resolve(
+    default_batch_size=64)`` (None = those defaults): ``batch_size``, ``executor``, ``columnar``,
+    ``observe``, and for ``executor='processes'`` ``parallelism`` and
+    ``checkpoint_interval``.  Use :meth:`subscribe` before running to
     observe deltas, :meth:`run` (or repeated :meth:`step`) to drive the
     query, and :meth:`snapshot` for the current result multiset.
     """
 
     def __init__(self, topology: Topology, sources: Dict[str, PushSource],
-                 batch_size: int = 64, executor: str = "inline",
+                 options: Optional[ExecutionOptions] = None,
                  source_operators: Optional[
                      Dict[str, Tuple[Optional[Selection],
                                      Optional[Projection]]]] = None,
                  clock: Callable[[], float] = time.monotonic,
                  idle_sleep: float = 0.0005,
-                 columnar: bool = False,
-                 parallelism: Optional[int] = None,
-                 checkpoint_interval: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None,
                  fault_injector: Optional[FaultInjector] = None,
-                 max_recoveries: int = 5,
-                 observe: str = "off"):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+                 max_recoveries: int = 5):
+        options = (options or ExecutionOptions()).resolve(
+            default_batch_size=64)
+        batch_size, executor = options.batch_size, options.executor
         if executor not in EXECUTOR_NAMES:
             raise ExecutorError(
                 f"unknown streaming executor {executor!r}; choose one of "
@@ -178,14 +181,15 @@ class StreamingCluster:
         #: one Observer per observed run, shared with the inner cluster so
         #: the inline inject() path times batches too; None = observe='off'
         self.observer: Optional[Observer] = None
-        if observe != "off":
-            self.cluster.set_observer(Observer(observe))
+        if options.observe != "off":
+            self.cluster.set_observer(Observer(options.observe))
             self.observer = self.cluster.observer
             self.observer.registry.register_collector(self.stats.collect)
+        self.columnar = options.columnar and batch_size > 1
         operators = source_operators or {}
         self._pumps: Dict[str, SourcePump] = {
             name: SourcePump(name, source, *operators.get(name, (None, None)),
-                             columnar=columnar and batch_size > 1)
+                             columnar=self.columnar)
             for name, source in sources.items()
         }
         self._source_wm = WatermarkTracker()
@@ -197,7 +201,6 @@ class StreamingCluster:
         self._event_time = all(
             pump.source.has_event_time() for pump in self._pumps.values()
         )
-        self.columnar = columnar and batch_size > 1
         self._finished_sources: set = set()
         self._final_watermarks: List[float] = []
         self._broadcast_wm: Optional[float] = None
@@ -216,8 +219,8 @@ class StreamingCluster:
         ]
         # -- processes executor: checkpointed resident workers ------------
         self.checkpoint_interval = (
-            DEFAULT_CHECKPOINT_INTERVAL if checkpoint_interval is None
-            else checkpoint_interval)
+            DEFAULT_CHECKPOINT_INTERVAL if options.checkpoint_interval is None
+            else options.checkpoint_interval)
         self.max_recoveries = max_recoveries
         #: checkpoint/recovery accounting (always present; only the
         #: processes executor feeds it)
@@ -226,7 +229,7 @@ class StreamingCluster:
             self.observer.registry.register_collector(self.checkpoints.collect)
         self._fault_injector = fault_injector
         self._pool: Optional[ResidentWorkerPool] = None
-        self._pool_parallelism = parallelism
+        self._pool_parallelism = options.parallelism
         self._store = CheckpointStore(directory=checkpoint_dir)
         self._log = ChangeLog()
         self._epoch = 0
@@ -544,17 +547,8 @@ class StreamingCluster:
                     + len(local))
             if per_worker:
                 outputs, deltas = self._pool.execute(per_worker)
-                for emits, receives, batches, paths, obs_payload in deltas:
-                    for name, task_index, count in emits:
-                        metrics.record_emit(name, task_index, count)
-                    for source, target, task_index, count in receives:
-                        metrics.record_receive(source, target, task_index,
-                                               count)
-                    for name, task_index in batches:
-                        metrics.record_batch(name, task_index)
-                    metrics.merge_path_counts(*paths)
-                    if observer is not None:
-                        observer.merge_worker_obs(obs_payload)
+                for worker_deltas in deltas:
+                    fold_metric_deltas(metrics, observer, worker_deltas)
                 if trace:
                     for component, task_index, emissions, child in outputs:
                         pending.append((component, emissions, child))

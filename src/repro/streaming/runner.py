@@ -26,7 +26,7 @@ import time
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.expressions import Column
-from repro.core.options import ExecutionOptions, merge_options
+from repro.core.options import ExecutionOptions
 from repro.engine.component import PhysicalPlan, SourceComponent
 from repro.engine.operators import Projection, Selection
 from repro.engine.runner import RETRACT_SUFFIX, AggBolt, build_topology
@@ -184,47 +184,48 @@ def agg_window_ts_positions(catalog, scans, clause) -> Dict[str, int]:
     return {alias: schemas[alias].index_of(attr)}
 
 
-def stream_plan(plan: PhysicalPlan, batch_size: Optional[int] = None,
-                executor: Optional[str] = None,
-                rate: Optional[float] = None,
+def stream_plan(plan: PhysicalPlan,
                 sources: Optional[Dict[str, PushSource]] = None,
                 ts_positions: Optional[Dict[str, int]] = None,
                 clock: Callable[[], float] = time.monotonic,
-                columnar: Optional[bool] = None,
                 options: Optional[ExecutionOptions] = None,
                 fault_injector=None,
                 checkpoint_dir: Optional[str] = None
                 ) -> "StreamingQuery":
     """Compile a physical plan into a continuously running query.
 
-    Execution knobs ride on ``options``
-    (:class:`~repro.core.options.ExecutionOptions`); the individual
-    kwargs remain as the deprecated spelling, folded in through the
-    shared adapter.  Unset knobs resolve exactly as in the batch engine
-    -- in particular ``columnar=None`` turns the columnar path on at
-    ``batch_size >= 64`` (streaming used to require an explicit opt-in
-    while ``run_plan`` defaulted it on; both now go through
-    ``ExecutionOptions.resolve``).  The streaming default batch size is
-    64.
+    Args:
+        plan: the compiled physical plan.
+        sources: push sources standing in for some or all relations.
+        ts_positions: event-time column per source (source name -> raw
+            column position), overriding the plan's window specs.
+        clock: the time source of rate limiting and latency stats.
+        options: the execution knobs as one
+            :class:`~repro.core.options.ExecutionOptions` (``batch_size``,
+            ``executor``, ``rate``, ``columnar``, ``parallelism``,
+            ``checkpoint_interval``, ``observe``), resolved here exactly
+            as in the batch engine except that the streaming default
+            batch size is 64 -- so ``columnar`` defaults on.
+        fault_injector: deterministic worker kills
+            (:class:`~repro.storm.failures.FaultInjector`).
+        checkpoint_dir: persist checkpoints to this directory.
 
     ``options.executor='processes'`` runs the query on resident forked
     workers with incremental checkpointing and crash recovery
     (``options.parallelism`` workers, a checkpoint every
     ``options.checkpoint_interval`` pump rounds; see
-    ``docs/FAULT_TOLERANCE.md``).  ``fault_injector`` arms deterministic
-    worker kills (:class:`~repro.storm.failures.FaultInjector`) and
-    ``checkpoint_dir`` persists snapshots to disk; both are
-    processes-executor extras.  The single-threaded ``inline`` executor
-    has no parallelism knob.
+    ``docs/FAULT_TOLERANCE.md``); ``fault_injector`` and
+    ``checkpoint_dir`` apply to it only.  The single-threaded ``inline``
+    executor has no parallelism knob.
 
     By default every source relation is replayed through a
-    :class:`ReplaySource` at ``rate`` rows per second (None = as fast as
-    the pipeline drains), with event-time watermarks on the columns named
-    by the plan's window specs (override or extend via ``ts_positions``:
-    source name -> raw column position).  Pass ``sources`` to substitute
-    real push sources for some or all relations.
+    :class:`ReplaySource` at ``options.rate`` rows per second (None = as
+    fast as the pipeline drains), with event-time watermarks on the
+    columns named by the plan's window specs (override or extend via
+    ``ts_positions``).  Pass ``sources`` to substitute real push sources
+    for some or all relations.
 
-    With ``columnar`` on, the source pumps coalesce each poll into a
+    With ``options.columnar`` on, the source pumps coalesce each poll into a
     :class:`~repro.core.columnar.ColumnBatch`, so joins and aggregations
     take their vectorized paths; the delta feed and snapshots are
     unchanged.
@@ -233,9 +234,7 @@ def stream_plan(plan: PhysicalPlan, batch_size: Optional[int] = None,
     :meth:`~StreamingQuery.run` to drive it to exhaustion, and
     :meth:`~StreamingQuery.snapshot` for the current result multiset.
     """
-    resolved = merge_options(options, dict(
-        batch_size=batch_size, executor=executor, rate=rate,
-        columnar=columnar)).resolve(default_batch_size=64)
+    resolved = (options or ExecutionOptions()).resolve(default_batch_size=64)
     if resolved.parallelism is not None and resolved.executor != "processes":
         raise ExecutorError(
             "parallelism only applies to the streaming 'processes' "
@@ -263,13 +262,9 @@ def stream_plan(plan: PhysicalPlan, batch_size: Optional[int] = None,
                 clock=clock,
             )
     cluster = StreamingCluster(
-        topology, pumps, batch_size=resolved.batch_size,
-        executor=resolved.executor,
-        source_operators=operators, clock=clock, columnar=resolved.columnar,
-        parallelism=resolved.parallelism,
-        checkpoint_interval=resolved.checkpoint_interval,
-        checkpoint_dir=checkpoint_dir, fault_injector=fault_injector,
-        observe=resolved.observe,
+        topology, pumps, options=resolved, source_operators=operators,
+        clock=clock, checkpoint_dir=checkpoint_dir,
+        fault_injector=fault_injector,
     )
     return StreamingQuery(cluster, partitioner_info={
         name: partitioner.describe()

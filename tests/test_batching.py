@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.options import ExecutionOptions
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Schema
 from repro.core.expressions import col
@@ -322,7 +323,7 @@ class TestClusterBatching:
     def test_everything_delivered_at_any_batch_size(self, batch_size):
         store = []
         metrics = LocalCluster(self.build_pipeline(store)).run(
-            batch_size=batch_size)
+            options=ExecutionOptions(batch_size=batch_size))
         assert sorted(store) == [(i,) for i in range(40)]
         assert metrics.component_input("sink") == 40
         assert metrics.component_output("src") == 40
@@ -331,13 +332,16 @@ class TestClusterBatching:
     def test_max_tuples_respected_with_batches(self, batch_size):
         store = []
         LocalCluster(self.build_pipeline(store)).run(
-            max_tuples=10, batch_size=batch_size)
+            max_tuples=10,
+            options=ExecutionOptions(batch_size=batch_size))
         assert len(store) == 10
 
     def test_batch_size_validated(self):
         store = []
         with pytest.raises(ValueError, match="batch_size"):
-            LocalCluster(self.build_pipeline(store)).run(batch_size=0)
+            LocalCluster(self.build_pipeline(store)).run(
+                options=ExecutionOptions(batch_size=0, executor="inline",
+                                         columnar=False, observe="off"))
 
     def test_finish_flush_works_in_batch_mode(self):
         from collections import Counter as CCounter
@@ -361,7 +365,8 @@ class TestClusterBatching:
         builder.set_bolt("count", lambda i, p: CountBolt()).shuffle_grouping("src")
         builder.set_bolt("sink", lambda i, p: CollectBolt(store)) \
             .shuffle_grouping("count")
-        LocalCluster(builder.build()).run(batch_size=5)
+        LocalCluster(builder.build()).run(options=ExecutionOptions(
+            batch_size=5))
         assert sorted(store) == [("x", 8), ("y", 4)]
 
     def test_deep_topology_runs_without_recursion_error(self):

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from repro.core.optimizer import OptimizerOptions
+from repro.core.options import ExecutionOptions
 from repro.core.predicates import BandCondition, EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Relation, Schema
 from repro.datasets import GoogleClusterGenerator
@@ -56,7 +57,8 @@ class TestMixedNumericKeys:
             sources=[SourceComponent("R", R), SourceComponent("S", S)],
             joins=[JoinComponent("J", spec, machines=machines, scheme="hash")],
         )
-        result = run_plan(plan, batch_size=batch_size, columnar=columnar)
+        result = run_plan(plan, options=ExecutionOptions(
+            batch_size=batch_size, columnar=columnar))
         expected = reference_join(spec, {"R": R.rows, "S": S.rows})
         assert len(expected) == 50
         assert Counter(result.results) == Counter(expected)

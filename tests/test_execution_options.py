@@ -2,25 +2,24 @@
 
 Pins the single-owner defaulting rules (in particular the
 columnar-on-at-batch_size>=64 rule applying identically to the batch and
-streaming engines -- they used to disagree), the legacy-kwarg adapter's
-deprecation semantics, and options= acceptance across every front-end.
+streaming engines -- they used to disagree), options= acceptance across
+every front-end, and that ``options=`` is the only spelling: each entry
+point rejects the retired per-knob kwargs with ``TypeError``.
 """
-
-import warnings
 
 import pytest
 
 from repro.core.columnar import COLUMNAR_MIN_BATCH
 from repro.core.optimizer import Catalog
-from repro.core.options import (
-    DEFAULT_MAX_BUFFER,
-    ExecutionOptions,
-    merge_options,
-)
+from repro.core.options import DEFAULT_MAX_BUFFER, ExecutionOptions
 from repro.core.schema import Relation, Schema
-from repro.engine.runner import run_plan
+from repro.engine.runner import build_topology, run_plan
 from repro.functional.stream_api import QueryContext
 from repro.sql.catalog import SqlSession
+from repro.storm.cluster import LocalCluster
+from repro.streaming.cluster import StreamingCluster
+from repro.streaming.runner import stream_plan
+from repro.streaming.sources import ReplaySource
 
 
 @pytest.fixture
@@ -91,32 +90,6 @@ class TestResolve:
             ExecutionOptions().batch_size = 5
 
 
-class TestMergeAdapter:
-    def test_legacy_kwargs_alone_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            merged = merge_options(None, dict(batch_size=32, executor=None))
-        assert merged.batch_size == 32
-        assert merged.executor is None
-
-    def test_conflict_warns_and_options_wins(self):
-        options = ExecutionOptions(batch_size=64)
-        with pytest.warns(DeprecationWarning, match="batch_size"):
-            merged = merge_options(options, dict(batch_size=8))
-        assert merged.batch_size == 64
-
-    def test_agreeing_values_do_not_warn(self):
-        options = ExecutionOptions(batch_size=64)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            merged = merge_options(options, dict(batch_size=64))
-        assert merged.batch_size == 64
-
-    def test_unknown_kwarg_rejected(self):
-        with pytest.raises(TypeError, match="turbo"):
-            merge_options(None, dict(turbo=True))
-
-
 class TestColumnarParityRegression:
     """stream_plan's columnar default used to disagree with the batch
     engine (explicit opt-in vs on-at-batch_size>=64); both now resolve
@@ -145,26 +118,26 @@ class TestColumnarParityRegression:
         assert query.cluster.metrics.columnar_batches > 0
 
 
+def source_batches(result) -> int:
+    """Spout micro-batches of a run over ``t``: 96 rows / batch_size."""
+    return sum(result.metrics.batches["t"])
+
+
 class TestFrontEnds:
-    """options= accepted everywhere; legacy kwargs still work."""
+    """options= reaches the engine from every front-end."""
 
     def test_run_plan_options(self, session):
         plan = session.plan(SQL)
-        legacy = run_plan(plan, batch_size=16, executor="inline")
-        unified = run_plan(plan, options=ExecutionOptions(
+        default = run_plan(plan)
+        batched = run_plan(plan, options=ExecutionOptions(
             batch_size=16, executor="inline"))
-        assert sorted(legacy.results) == sorted(unified.results)
+        assert sorted(batched.results) == sorted(default.results)
+        assert (source_batches(default), source_batches(batched)) == (96, 6)
 
     def test_sql_execute_options(self, session):
-        legacy = session.execute(SQL, batch_size=16)
-        unified = session.execute(
-            SQL, options=ExecutionOptions(batch_size=16))
-        assert sorted(legacy.results) == sorted(unified.results)
-
-    def test_sql_execute_conflict_warns(self, session):
-        with pytest.warns(DeprecationWarning):
-            session.execute(SQL, batch_size=8,
-                            options=ExecutionOptions(batch_size=16))
+        batched = session.execute(SQL, options=ExecutionOptions(batch_size=16))
+        assert sorted(batched.results) == sorted(session.execute(SQL).results)
+        assert source_batches(batched) == 6
 
     def test_sql_stream_options(self, session):
         query = session.stream(SQL, options=ExecutionOptions(batch_size=16))
@@ -179,14 +152,15 @@ class TestFrontEnds:
         # per-call options overlay the session layer
         query2 = session.stream(SQL, options=ExecutionOptions(batch_size=8))
         assert query2.options.batch_size == 8
+        assert source_batches(session.execute(SQL)) == 6
 
     def test_functional_execute_options(self, catalog):
         ctx = QueryContext(catalog, machines=2)
-        legacy = (ctx.stream("t").group_by("k").agg_count()
-                  .execute(batch_size=16))
-        unified = (ctx.stream("t").group_by("k").agg_count()
+        default = ctx.stream("t").group_by("k").agg_count().execute()
+        batched = (ctx.stream("t").group_by("k").agg_count()
                    .execute(options=ExecutionOptions(batch_size=16)))
-        assert sorted(legacy.results) == sorted(unified.results)
+        assert sorted(batched.results) == sorted(default.results)
+        assert source_batches(batched) == 6
 
     def test_functional_stream_options(self, catalog):
         ctx = QueryContext(catalog, machines=2)
@@ -208,3 +182,84 @@ class TestFrontEnds:
 
         with pytest.raises(ExecutorError, match="parallelism"):
             session.stream(SQL, options=ExecutionOptions(parallelism=2))
+
+
+def _topology(session):
+    return build_topology(session.plan(SQL))[0]
+
+
+#: every entry point with the per-knob kwargs it no longer takes
+RETIRED_KWARGS = {
+    "run_plan": (
+        lambda session, knob: run_plan(session.plan(SQL), **knob),
+        ("batch_size", "executor", "parallelism", "columnar")),
+    "stream_plan": (
+        lambda session, knob: stream_plan(session.plan(SQL), **knob),
+        ("batch_size", "executor", "rate", "columnar")),
+    "SqlSession.execute": (
+        lambda session, knob: session.execute(SQL, **knob),
+        ("batch_size", "executor", "parallelism", "columnar")),
+    "SqlSession.stream": (
+        lambda session, knob: session.stream(SQL, **knob),
+        ("batch_size", "executor", "rate", "columnar")),
+    "Stream.execute": (
+        lambda session, knob: QueryContext(session.catalog).stream("t")
+        .execute(**knob),
+        ("batch_size", "executor", "parallelism", "columnar")),
+    "Stream.stream": (
+        lambda session, knob: QueryContext(session.catalog).stream("t")
+        .stream(**knob),
+        ("batch_size", "executor", "rate", "columnar")),
+    "GroupedStream.execute": (
+        lambda session, knob: QueryContext(session.catalog).stream("t")
+        .group_by("k").agg_count().execute(**knob),
+        ("batch_size", "executor", "parallelism", "columnar")),
+    "GroupedStream.stream": (
+        lambda session, knob: QueryContext(session.catalog).stream("t")
+        .group_by("k").agg_count().stream(**knob),
+        ("batch_size", "executor", "rate", "columnar")),
+    "LocalCluster.run": (
+        lambda session, knob: LocalCluster(_topology(session)).run(**knob),
+        ("batch_size", "executor", "parallelism", "columnar", "observe")),
+    "StreamingCluster": (
+        lambda session, knob: StreamingCluster(
+            _topology(session), {"t": ReplaySource([], stream="t")},
+            **knob),
+        ("batch_size", "executor", "parallelism", "columnar",
+         "checkpoint_interval", "observe")),
+}
+
+#: a valid value per knob, so only the spelling can be at fault
+KNOB_VALUES = dict(batch_size=16, executor="inline", parallelism=2,
+                   columnar=True, rate=100.0, checkpoint_interval=4,
+                   observe="metrics")
+
+
+@pytest.mark.parametrize("entry,knob", [
+    (entry, knob)
+    for entry, (_call, knobs) in RETIRED_KWARGS.items() for knob in knobs
+])
+def test_retired_knob_kwarg_raises_type_error(session, entry, knob):
+    call, _knobs = RETIRED_KWARGS[entry]
+    with pytest.raises(TypeError, match=knob):
+        call(session, {knob: KNOB_VALUES[knob]})
+
+
+def test_functional_knob_error_points_at_options(catalog):
+    with pytest.raises(TypeError, match=r"options=ExecutionOptions\(batch_size"):
+        QueryContext(catalog).stream("t").execute(batch_size=8)
+
+
+@pytest.mark.parametrize("make_cluster", [
+    lambda session, options: LocalCluster(_topology(session)).run(
+        options=options),
+    lambda session, options: StreamingCluster(
+        _topology(session), {"t": ReplaySource([], stream="t")},
+        options=options),
+], ids=["LocalCluster.run", "StreamingCluster"])
+def test_clusters_validate_options(session, make_cluster):
+    """The clusters resolve what they are given, so an out-of-range
+    knob is refused even when every field is already set."""
+    with pytest.raises(ValueError, match="batch_size"):
+        make_cluster(session, ExecutionOptions(
+            batch_size=0, executor="inline", columnar=False, observe="off"))

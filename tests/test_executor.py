@@ -7,11 +7,15 @@ boundaries, and the per-task micro-batch metrics that give the parallel
 backends' load-balance tests their signal.
 """
 
+import multiprocessing
+import os
 import pickle
+import signal
 
 import pytest
 
 from repro.core.expressions import col
+from repro.core.options import ExecutionOptions
 from repro.core.schema import Schema
 from repro.engine.operators import Projection, Selection
 from repro.engine.runner import SinkBolt
@@ -26,6 +30,7 @@ from repro.storm.executor import (
     EXECUTOR_NAMES,
     ProcessExecutor,
     Router,
+    WorkerDied,
     assign_tasks,
     create_executor,
     default_parallelism,
@@ -43,6 +48,19 @@ class DoublerBolt(Bolt):
 class FailingBolt(Bolt):
     def execute(self, source, stream, values):
         raise RuntimeError("boom in worker")
+
+
+class SelfKillingBolt(Bolt):
+    """Task 1 SIGKILLs its worker process on its first tuple (only ever
+    run under the processes backend)."""
+
+    def prepare(self, task_index, parallelism):
+        self.task_index = task_index
+
+    def execute(self, source, stream, values):
+        if self.task_index == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return [("default", values)]
 
 
 def diamond_topology(rows=None, bolt_factory=None):
@@ -102,7 +120,8 @@ class TestErrors:
         topology, _sink = diamond_topology()
         cluster = LocalCluster(topology)
         with pytest.raises(ExecutorError, match="unknown executor"):
-            cluster.run(executor="goroutines")
+            cluster.run(options=ExecutionOptions(
+                executor="goroutines"))
 
     def test_threads_executor_is_rejected_naming_both_executors(self):
         from repro.engine import run_plan
@@ -112,12 +131,14 @@ class TestErrors:
 
         assert EXECUTOR_NAMES == ("inline", "processes")
         with pytest.raises(ExecutorError) as batch:
-            run_plan(plan_join_only(), executor="threads")
+            run_plan(plan_join_only(), options=ExecutionOptions(
+                executor="threads"))
         with pytest.raises(ExecutorError) as streaming:
-            stream_plan(plan_join_only(), executor="threads")
+            stream_plan(plan_join_only(), options=ExecutionOptions(
+                executor="threads"))
         shell = SquallShell()
         repl = shell.handle_line("\\set executor threads")
-        assert shell.executor == "inline"
+        assert shell.execution.executor is None
         for message in (str(batch.value), str(streaming.value), repl):
             assert "'threads'" in message or "must be" in message
             assert "inline" in message and "processes" in message
@@ -130,7 +151,26 @@ class TestErrors:
     def test_max_tuples_needs_inline(self):
         topology, _sink = diamond_topology()
         with pytest.raises(ExecutorError, match="max_tuples"):
-            LocalCluster(topology).run(max_tuples=5, executor="processes")
+            LocalCluster(topology).run(max_tuples=5, options=ExecutionOptions(
+                executor="processes"))
+
+    def test_dead_worker_raises_executor_error_naming_it(self):
+        builder = TopologyBuilder()
+        builder.set_spout("spout", lambda i, p: ListSpout(
+            [(i,) for i in range(20)]))
+        builder.set_bolt("bolt", lambda i, p: SelfKillingBolt(),
+                         parallelism=2).shuffle_grouping("spout")
+        builder.set_bolt("sink", lambda i, p: SinkBolt()).global_grouping(
+            "bolt")
+        topology = builder.build()
+        doomed = assign_tasks(topology, 2)[("bolt", 1)]
+        with pytest.raises(ExecutorError,
+                           match=rf"worker\(s\) \[{doomed}\] died") as err:
+            LocalCluster(topology).run(options=ExecutionOptions(
+                batch_size=4, executor="processes", parallelism=2))
+        assert isinstance(err.value, WorkerDied)
+        assert err.value.worker_ids == [doomed]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("executor", PARALLEL)
     def test_worker_failure_surfaces_with_traceback(self, executor):
@@ -138,7 +178,8 @@ class TestErrors:
             bolt_factory=lambda i, p: FailingBolt())
         cluster = LocalCluster(topology)
         with pytest.raises(ExecutorError, match="boom in worker"):
-            cluster.run(batch_size=4, executor=executor, parallelism=2)
+            cluster.run(options=ExecutionOptions(
+                batch_size=4, executor=executor, parallelism=2))
 
 
 class TestParallelExecution:
@@ -146,11 +187,13 @@ class TestParallelExecution:
     def test_matches_inline_results(self, executor):
         rows = [(i,) for i in range(50)]
         inline_topology, inline_sink = diamond_topology(rows)
-        LocalCluster(inline_topology).run(batch_size=8)
+        LocalCluster(inline_topology).run(options=ExecutionOptions(
+            batch_size=8))
 
         topology, _sink = diamond_topology(rows)
         cluster = LocalCluster(topology)
-        cluster.run(batch_size=8, executor=executor, parallelism=3)
+        cluster.run(options=ExecutionOptions(
+            batch_size=8, executor=executor, parallelism=3))
         # read the sink's post-run store from the cluster: under the
         # processes backend the pre-fork sink object is never mutated
         store = cluster.task("sink", 0).store
@@ -162,7 +205,8 @@ class TestParallelExecution:
         rows = [(i,) for i in range(10)]
         topology, _sink = diamond_topology(rows)
         cluster = LocalCluster(topology)
-        cluster.run(batch_size=4, executor=executor, parallelism=1)
+        cluster.run(options=ExecutionOptions(
+            batch_size=4, executor=executor, parallelism=1))
         assert len(cluster.task("sink", 0).store) == 2 * len(rows)
 
     @pytest.mark.parametrize("executor", PARALLEL)
@@ -172,7 +216,8 @@ class TestParallelExecution:
         for _run in range(2):
             topology, _sink = diamond_topology()
             cluster = LocalCluster(topology)
-            result = cluster.run(batch_size=4, executor=executor, parallelism=3)
+            result = cluster.run(options=ExecutionOptions(
+                batch_size=4, executor=executor, parallelism=3))
             stores.append(list(cluster.task("sink", 0).store))
             metrics.append((result.received, result.emitted, result.batches))
         assert stores[0] == stores[1]  # same order, not just same multiset
@@ -187,7 +232,7 @@ class TestBatchMetrics:
     def test_inline_records_spout_batches_per_task(self):
         topology, _sink = diamond_topology(rows=[(i,) for i in range(40)])
         cluster = LocalCluster(topology)
-        metrics = cluster.run(batch_size=8)
+        metrics = cluster.run(options=ExecutionOptions(batch_size=8))
         counts = metrics.batch_counts("spout")
         assert len(counts) == 2
         # 40 rows striped over 2 tasks = 20 rows/task = 3 pulls of 8 each
@@ -195,14 +240,16 @@ class TestBatchMetrics:
 
     def test_inline_records_bolt_batches(self):
         topology, _sink = diamond_topology()
-        metrics = LocalCluster(topology).run(batch_size=8)
+        metrics = LocalCluster(topology).run(options=ExecutionOptions(
+            batch_size=8))
         assert sum(metrics.batch_counts("sink")) > 0
 
     @pytest.mark.parametrize("executor", PARALLEL)
     def test_parallel_backends_balance_spout_batches(self, executor):
         topology, _sink = diamond_topology(rows=[(i,) for i in range(64)])
         cluster = LocalCluster(topology)
-        metrics = cluster.run(batch_size=8, executor=executor, parallelism=2)
+        metrics = cluster.run(options=ExecutionOptions(
+            batch_size=8, executor=executor, parallelism=2))
         counts = metrics.batch_counts("spout")
         # both striped spout tasks pulled the same number of micro-batches
         assert counts == [4, 4]
@@ -292,7 +339,8 @@ class TestAdaptiveSchemeRefusal:
     def test_parallel_backends_refuse_adaptive_partitioners(self, executor):
         plan, run_plan = self.build_adaptive_cluster()
         with pytest.raises(ExecutorError, match="adapt"):
-            run_plan(plan, batch_size=8, executor=executor, parallelism=2)
+            run_plan(plan, options=ExecutionOptions(
+                batch_size=8, executor=executor, parallelism=2))
 
     @pytest.mark.parametrize("executor", PARALLEL)
     def test_refusal_names_partitioner_and_inline_escape_hatch(self, executor):
@@ -300,7 +348,8 @@ class TestAdaptiveSchemeRefusal:
         grouping wrapper) and point the user at executor='inline'."""
         plan, run_plan = self.build_adaptive_cluster()
         with pytest.raises(ExecutorError) as excinfo:
-            run_plan(plan, batch_size=8, executor=executor, parallelism=2)
+            run_plan(plan, options=ExecutionOptions(
+                batch_size=8, executor=executor, parallelism=2))
         message = str(excinfo.value)
         assert "AdaptiveOneBucket" in message
         assert "executor='inline'" in message
@@ -309,7 +358,7 @@ class TestAdaptiveSchemeRefusal:
 
     def test_inline_still_runs_adaptive_partitioners(self):
         plan, run_plan = self.build_adaptive_cluster()
-        result = run_plan(plan, batch_size=8)
+        result = run_plan(plan, options=ExecutionOptions(batch_size=8))
         assert result.results
 
 

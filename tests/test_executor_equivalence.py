@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
 from repro.storm import LocalCluster
 from tests.batching_plans import GOLDEN_PLANS
@@ -36,14 +37,16 @@ BACKENDS = ["inline", "processes", "processes-1"]
 PARALLEL = ["processes", "processes-1"]
 
 
-def backend_kwargs(backend, parallelism):
-    """``run``/``run_plan`` keywords for a backend id; ``parallelism`` is
-    the worker count of the multi-worker ``processes`` backend."""
+def backend_options(backend, parallelism, batch_size):
+    """``ExecutionOptions`` for a backend id; ``parallelism`` is the
+    worker count of the multi-worker ``processes`` backend."""
     if backend == "inline":
-        return {"executor": "inline"}
+        return ExecutionOptions(executor="inline", batch_size=batch_size)
     if backend == "processes-1":
-        return {"executor": "processes", "parallelism": 1}
-    return {"executor": backend, "parallelism": parallelism}
+        return ExecutionOptions(executor="processes", parallelism=1,
+                                batch_size=batch_size)
+    return ExecutionOptions(executor=backend, parallelism=parallelism,
+                            batch_size=batch_size)
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +56,8 @@ def golden():
 
 
 def run_backend(name, executor, batch_size=16):
-    return run_plan(GOLDEN_PLANS[name](), batch_size=batch_size,
-                    **backend_kwargs(executor, 4))
+    return run_plan(GOLDEN_PLANS[name](),
+                    options=backend_options(executor, 4, batch_size))
 
 
 @pytest.mark.parametrize("executor", BACKENDS)
@@ -137,7 +140,7 @@ def run_retraction_topology(script, local_join, executor, aggregate,
     topology, _results = build_rst_topology(spec, script, local_join,
                                             aggregate=aggregate)
     cluster = LocalCluster(topology)
-    cluster.run(batch_size=batch_size, **backend_kwargs(executor, 3))
+    cluster.run(options=backend_options(executor, 3, batch_size))
     # read the post-run sink store from the cluster (the closure-captured
     # list is never mutated in the parent under the processes backend)
     return list(cluster.task("sink", 0).store)

@@ -60,8 +60,9 @@ def run_recorded(monkeypatch, parallelism, batch_size, relay):
         monkeypatch.setattr(executor_module, "WorkerState", RelayingState)
     rows = [(i % 7, i % 5, i) for i in range(120)]
     cluster = LocalCluster(recording_topology(rows))
-    cluster.run(batch_size=batch_size, executor="processes",
-                parallelism=parallelism)
+    cluster.run(options=ExecutionOptions(
+        batch_size=batch_size, executor="processes",
+        parallelism=parallelism))
     monkeypatch.undo()
     return {
         (name, task_index): list(task.seen)
@@ -161,4 +162,5 @@ class TestCoordinatorAccounting:
         rows = [(i % 7, i % 5, i) for i in range(20)]
         cluster = LocalCluster(recording_topology(rows))
         with pytest.raises(ExecutorError, match="undelivered batches"):
-            cluster.run(batch_size=4, executor="processes", parallelism=2)
+            cluster.run(options=ExecutionOptions(
+                batch_size=4, executor="processes", parallelism=2))

@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.options import ExecutionOptions
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Schema
 from repro.engine.component import AggComponent, JoinComponent
@@ -185,11 +186,13 @@ def test_compensated_failure_matches_clean_run(local_join, batch_size,
     clean_script = list(interleaved_stream(data, seed=33))
     clean_topology, clean_results = build_rst_topology(
         spec, clean_script, local_join, aggregate=aggregate)
-    LocalCluster(clean_topology).run(batch_size=batch_size)
+    LocalCluster(clean_topology).run(options=ExecutionOptions(
+        batch_size=batch_size))
 
     faulty_topology, faulty_results = build_rst_topology(
         spec, faulty_script(data, seed=33), local_join, aggregate=aggregate)
-    LocalCluster(faulty_topology).run(batch_size=batch_size)
+    LocalCluster(faulty_topology).run(options=ExecutionOptions(
+        batch_size=batch_size))
 
     assert Counter(faulty_results) == Counter(clean_results)
     assert clean_results  # the comparison is not vacuous

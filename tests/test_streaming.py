@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.core.optimizer import OptimizerOptions
+from repro.core.options import ExecutionOptions
 from repro.core.schema import Relation, Schema
 from repro.engine.component import AggComponent, PhysicalPlan, SourceComponent
 from repro.engine.operators import count, total
@@ -299,7 +300,7 @@ class TestStreamingClusterValidation:
     def test_unknown_executor_rejected(self):
         plan = sliding_agg_plan(make_events(10))
         with pytest.raises(ExecutorError, match="fibers"):
-            stream_plan(plan, executor="fibers")
+            stream_plan(plan, options=ExecutionOptions(executor="fibers"))
 
     def test_processes_refuse_adaptive_partitioners(self):
         from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
@@ -319,11 +320,12 @@ class TestStreamingClusterValidation:
                                  scheme=AdaptiveOneBucket("R", "S", machines=4))],
         )
         with pytest.raises(ExecutorError) as excinfo:
-            stream_plan(plan, executor="processes")
+            stream_plan(plan, options=ExecutionOptions(executor="processes"))
         assert "AdaptiveOneBucket" in str(excinfo.value)
         assert "executor='inline'" in str(excinfo.value)
         # the inline streaming executor still runs it
-        query = stream_plan(plan, executor="inline").run()
+        query = stream_plan(plan, options=ExecutionOptions(
+            executor="inline")).run()
         assert query.snapshot() == sorted(run_plan(plan).results)
 
     def test_sources_must_match_spouts(self):
@@ -344,7 +346,8 @@ class TestIncrementalDeltas:
         """The core new-workload property: a rate-limited replay emits
         incremental result deltas long before the sources are drained."""
         plan = sliding_agg_plan(make_events(300))
-        query = stream_plan(plan, batch_size=8, rate=100_000)
+        query = stream_plan(plan, options=ExecutionOptions(
+            batch_size=8, rate=100_000))
         iterator = iter(query)
         first = [next(iterator) for _ in range(10)]
         assert len(first) == 10
@@ -352,7 +355,8 @@ class TestIncrementalDeltas:
         list(iterator)  # drain
         assert query.done
         assert query.snapshot() == sorted(
-            run_plan(sliding_agg_plan(make_events(300)), batch_size=8).results)
+            run_plan(sliding_agg_plan(make_events(300)),
+                     options=ExecutionOptions(batch_size=8)).results)
 
     def test_empty_source_still_completes_with_watermarks(self):
         """Regression: a relation that is empty from the start must count
@@ -373,7 +377,7 @@ class TestIncrementalDeltas:
                 "J", spec, machines=2,
                 window=WindowSpec.tumbling(10, ts_positions={"A": 0, "B": 0}))],
         )
-        query = stream_plan(plan, batch_size=8).run()
+        query = stream_plan(plan, options=ExecutionOptions(batch_size=8)).run()
         assert query.done
         assert query.snapshot() == sorted(run_plan(plan).results)
         # the empty source promised everything, so A's watermark governs
@@ -381,7 +385,8 @@ class TestIncrementalDeltas:
 
     def test_stats_report_watermark_and_lag(self):
         plan = sliding_agg_plan(make_events(120))
-        query = stream_plan(plan, batch_size=16).run()
+        query = stream_plan(plan, options=ExecutionOptions(
+            batch_size=16)).run()
         stats = query.stats()
         assert stats["events"] == 120
         # the source's final promise covers its last batch, so a finished
@@ -425,8 +430,10 @@ class TestIncrementalDeltas:
                    for k, v in plan_template.items()},
             )
 
-        expected = sorted(run_plan(make(), batch_size=16).results)
-        query = stream_plan(make(), batch_size=16).run()
+        expected = sorted(run_plan(make(), options=ExecutionOptions(
+            batch_size=16)).results)
+        query = stream_plan(make(), options=ExecutionOptions(
+            batch_size=16)).run()
         assert not query.cluster._event_time  # dims has no event time
         assert query.snapshot() == expected
         assert query.stats()["watermark"] is None
@@ -438,8 +445,10 @@ class TestIncrementalDeltas:
         catalog = Catalog()
         catalog.register(make_events(20))
         ctx = QueryContext(catalog, machines=2)
-        with pytest.raises(ValueError, match="parallelism"):
-            ctx.stream("events").stream(parallelism=2)
+        # the single-threaded inline executor has no parallelism knob
+        with pytest.raises(ExecutorError, match="parallelism"):
+            ctx.stream("events").stream(options=ExecutionOptions(
+                parallelism=2))
 
     def test_delta_stream_replays_to_the_snapshot(self):
         """Applying the deltas in order reconstructs the snapshot exactly
@@ -447,7 +456,7 @@ class TestIncrementalDeltas:
         from collections import Counter
 
         plan = sliding_agg_plan(make_events(150), parallelism=1)
-        query = stream_plan(plan, batch_size=16)
+        query = stream_plan(plan, options=ExecutionOptions(batch_size=16))
         state = Counter()
         for delta in query:
             if delta.sign > 0:
@@ -478,9 +487,10 @@ class TestSqlStreamAcceptance:
     @pytest.mark.parametrize("executor", ["inline", "processes"])
     def test_sliding_window_sql_stream_matches_batch(self, executor):
         session = self.make_session()
-        batch = session.execute(self.SQL, batch_size=16)
-        query = session.stream(self.SQL, batch_size=16, executor=executor,
-                               rate=500_000)
+        batch = session.execute(self.SQL, options=ExecutionOptions(
+            batch_size=16))
+        query = session.stream(self.SQL, options=ExecutionOptions(
+            batch_size=16, executor=executor, rate=500_000))
         deltas = []
         mid_flight = 0
         for delta in query:

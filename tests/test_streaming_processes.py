@@ -272,8 +272,10 @@ class TestRefusals:
         builder.set_bolt("sink", lambda i, p: DeltaSink()).global_grouping(
             "op", streams=["out"])
         source = CallbackSource(iter([("R", (1,)), ("R", (2,))]))
-        cluster = StreamingCluster(builder.build(), {"feed": source},
-                                   batch_size=4, executor="processes")
+        cluster = StreamingCluster(
+            builder.build(), {"feed": source},
+            options=ExecutionOptions(batch_size=4,
+                                     executor="processes"))
         with pytest.raises(ExecutorError, match="ClosureBolt") as err:
             cluster.run()
         assert "inline" in str(err.value)  # the advice names a fallback
