@@ -14,10 +14,11 @@ Instruments recorded per executed batch:
 
 - ``operator_batch_seconds{component,task}`` -- execute-wall-time
   histogram (the profile's p50/p95/p99 source),
-- ``routed_rows_total{component,task}`` -- rows delivered per task,
-- ``queue_depth{queue}`` -- high-water work-queue depth,
-- ``partition_skew{component}`` -- derived max/avg task imbalance
-  (the paper's skew degree), computed at export time by a collector.
+- ``queue_depth{queue}`` -- high-water work-queue depth.
+
+Row counts and the ``partition_skew`` gauge are not recorded here: the
+cluster's :class:`~repro.storm.metrics.TopologyMetrics` already counts
+every row and joins the registry as a collector.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, Sample
+from repro.obs.registry import Gauge, Histogram, MetricsRegistry
 from repro.obs.tracing import SpanContext, TraceBuffer, make_span
 
 #: the ExecutionOptions(observe=...) levels, cheapest first
@@ -58,17 +59,7 @@ class Observer:
         self._root_seq: Dict[Tuple[str, int], "itertools.count"] = \
             defaultdict(lambda: itertools.count(1))
         self._hists: Dict[Tuple[str, int], Histogram] = {}
-        self._rows: Dict[Tuple[str, int], Counter] = {}
         self._depths: Dict[str, Gauge] = {}
-        #: component -> (grouping description, skew possible), installed
-        #: by the cluster from the topology's edge groupings
-        self._groupings: Dict[str, Tuple[str, bool]] = {}
-        self.registry.register_collector(self._skew_samples)
-
-    def set_groupings(self, groupings: Dict[str, Tuple[str, bool]]) -> None:
-        """Install the per-component grouping info the skew gauge labels
-        its samples with (and skips balanced-by-design edges by)."""
-        self._groupings.update(groupings)
 
     # -- instruments -------------------------------------------------------
 
@@ -81,20 +72,10 @@ class Observer:
             self._hists[key] = hist
         return hist
 
-    def _row_counter(self, component: str, task: int) -> Counter:
-        key = (component, task)
-        counter = self._rows.get(key)
-        if counter is None:
-            counter = self.registry.counter(
-                "routed_rows_total", component=component, task=str(task))
-            self._rows[key] = counter
-        return counter
-
     def on_execute(self, component: str, task: int, rows: int,
                    seconds: float) -> None:
         """One batch of ``rows`` executed at (component, task)."""
         self._hist(component, task).observe(seconds)
-        self._row_counter(component, task).inc(rows)
 
     def on_queue_depth(self, queue_name: str, depth: int) -> None:
         gauge = self._depths.get(queue_name)
@@ -102,32 +83,6 @@ class Observer:
             gauge = self.registry.gauge("queue_depth", queue=queue_name)
             self._depths[queue_name] = gauge
         gauge.set_max(depth)
-
-    def _skew_samples(self) -> List[Sample]:
-        """Per-component imbalance of the routed-row counters: the
-        paper's skew degree, max task load over mean task load.
-
-        Only key-partitioned components report (a shuffle or broadcast
-        edge is balanced by construction -- see
-        :meth:`~repro.storm.groupings.Grouping.skew_possible`); each
-        sample is labelled with the grouping that produced the split."""
-        loads: Dict[str, List[float]] = defaultdict(list)
-        for (component, _task), counter in sorted(self._rows.items()):
-            loads[component].append(counter.read())
-        out: List[Sample] = []
-        for component, values in sorted(loads.items()):
-            description, possible = self._groupings.get(
-                component, ("unknown", True))
-            if not possible:
-                continue
-            total = sum(values)
-            if total <= 0:
-                continue
-            skew = max(values) / (total / len(values))
-            out.append(("partition_skew",
-                        {"component": component, "grouping": description},
-                        skew, "gauge"))
-        return out
 
     # -- spans -------------------------------------------------------------
 

@@ -40,7 +40,7 @@ from repro.core.options import (
     ExecutionOptions,
 )
 from repro.sql.catalog import SqlSession
-from repro.storm.executor import EXECUTOR_NAMES
+from repro.storm.executor import ExecutorError, check_executor
 
 HELP_TEXT = __doc__.split("Meta-commands", 1)[1]
 
@@ -205,8 +205,10 @@ class SquallShell:
             self.execution = self.execution.replace(batch_size=batch_size)
             return f"batch_size = {batch_size}"
         if option == "executor":
-            if value not in EXECUTOR_NAMES:
-                return "executor must be " + " | ".join(EXECUTOR_NAMES)
+            try:
+                check_executor(value)
+            except ExecutorError as error:
+                return str(error)
             self.execution = self.execution.replace(executor=value)
             return f"executor = {value}"
         if option == "parallelism":

@@ -27,10 +27,15 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.columnar import ColumnBatch
 from repro.core.options import ExecutionOptions
 from repro.obs import Observer
-from repro.storm.executor import ExecutorError, Router, create_executor
+from repro.storm.executor import (
+    ExecutorError,
+    ProcessExecutor,
+    Router,
+    check_executor,
+    execute_hop,
+)
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Bolt, Spout, Topology, TopologyError
 
@@ -88,7 +93,8 @@ class LocalCluster:
 
         The cluster's own counters join the observer's registry as a
         collector, so a ``/metrics`` scrape or ``profile()`` sees the
-        topology counters without any extra recording cost."""
+        topology counters -- and their ``partition_skew`` gauge --
+        without any extra recording cost."""
         self._observer = observer
         if observer is not None:
             observer.registry.register_collector(self.metrics.collect)
@@ -105,7 +111,7 @@ class LocalCluster:
                                        if description else label)
                     groupings[edge.target] = (
                         description, possible or edge.grouping.skew_possible())
-            observer.set_groupings(groupings)
+            self.metrics.groupings = groupings
 
     # -- execution ---------------------------------------------------------
 
@@ -131,37 +137,33 @@ class LocalCluster:
                 already set.
         """
         options = (options or ExecutionOptions()).resolve()
+        check_executor(options.executor)
+        if options.executor != "inline" and max_tuples is not None:
+            raise ExecutorError(
+                "max_tuples is only supported by the inline executor "
+                "(parallel spout draining has no global tuple cursor)"
+            )
         if options.observe != "off" and self._observer is None:
             self.set_observer(Observer(options.observe))
         self._set_columnar(options.columnar)
         started = time.perf_counter()
         try:
-            return self._run_inline(max_tuples, options)
+            if options.executor == "processes":
+                return ProcessExecutor(self, options.parallelism).run(
+                    batch_size=options.batch_size)
+            return self._run_inline(max_tuples, options.batch_size)
         finally:
             self.metrics.elapsed = time.perf_counter() - started
 
     def _run_inline(self, max_tuples: Optional[int],
-                    options: ExecutionOptions) -> TopologyMetrics:
-        if options.executor != "inline":
-            if max_tuples is not None:
-                raise ExecutorError(
-                    "max_tuples is only supported by the inline executor "
-                    "(parallel spout draining has no global tuple cursor)"
-                )
-            backend = create_executor(options.executor, self,
-                                      options.parallelism)
-            return backend.run(batch_size=options.batch_size)
-        batch_size = options.batch_size
+                    batch_size: int) -> TopologyMetrics:
         self._coalesce = batch_size > 1
         observer = self._observer
-        trace = observer is not None and observer.trace
         spouts: List[Tuple[str, int, Spout]] = []
         for name, spec in self.topology.components.items():
             if spec.is_spout:
                 for task_index, instance in enumerate(self._tasks[name]):
                     spouts.append((name, task_index, instance))
-        stack: List[_WorkItem] = []
-        ctx_stack: Optional[list] = [] if trace else None
         pulled = 0
         active = list(spouts)
         while active:
@@ -172,6 +174,7 @@ class LocalCluster:
                     limit = min(limit, max_tuples - pulled)
                     if limit <= 0:
                         return self.metrics
+                pull_time = 0.0
                 if observer is not None:
                     started = time.perf_counter()
                     emissions = spout.next_batch(limit)
@@ -180,19 +183,8 @@ class LocalCluster:
                     emissions = spout.next_batch(limit)
                 if not emissions:
                     continue
-                self.metrics.record_emit(name, task_index, len(emissions))
-                self.metrics.record_batch(name, task_index)
                 pulled += len(emissions)
-                items = self._route_emissions(name, emissions)
-                self._push(stack, items)
-                if observer is not None:
-                    observer.on_execute(name, task_index, len(emissions),
-                                        pull_time)
-                    ctx = observer.root(name, task_index, len(emissions),
-                                        pull_time)
-                    if trace:
-                        ctx_stack.extend([ctx] * len(items))
-                self._drain(stack, ctx_stack)
+                self.inject(name, emissions, task_index, pull_time)
                 if max_tuples is not None and pulled >= max_tuples:
                     return self.metrics
                 # a short batch normally means exhaustion, but a columnar
@@ -232,58 +224,44 @@ class LocalCluster:
         self._coalesce = coalesce
 
     def inject(self, source: str, emissions: List[Tuple[str, tuple]],
-               task_index: int = 0):
-        """Route externally produced emissions and run them to quiescence.
+               task_index: int = 0, seconds: float = 0.0):
+        """Route emissions and run them to quiescence.
 
-        The push-based entry point of the continuous runtime
-        (:class:`repro.streaming.cluster.StreamingCluster`): each arriving
-        micro-batch of a *resident* topology is fed here, attributed to
-        task ``task_index`` of component ``source``, and driven through
-        the same work-stack drain as spout batches."""
+        Every spout batch of :meth:`run` enters here, and so does each
+        micro-batch the continuous runtime
+        (:class:`~repro.streaming.cluster.StreamingCluster`) pushes into
+        a *resident* topology.  The batch is attributed to task
+        ``task_index`` of component ``source``, which took ``seconds``
+        to produce it.  A bolt's emissions outside a delivery -- its
+        end-of-stream flush or a watermark's expirations -- enter here
+        too, as untraced punctuations that count no batch."""
         if not emissions:
             return
         self.metrics.record_emit(source, task_index, len(emissions))
-        self.metrics.record_batch(source, task_index)
         stack: List[_WorkItem] = []
         items = self._route_emissions(source, emissions)
         self._push(stack, items)
         observer = self._observer
-        ctx_stack: Optional[list] = None
-        if observer is not None:
-            ctx = None
-            if self.topology.components[source].is_spout:
-                # a new source batch starts a new trace; watermark-driven
-                # injections (bolt components) stay untraced punctuations
-                observer.on_execute(source, task_index, len(emissions), 0.0)
-                ctx = observer.root(source, task_index, len(emissions), 0.0)
-            if observer.trace:
-                ctx_stack = [ctx] * len(items)
-        self._drain(stack, ctx_stack)
+        ctx = None
+        if self.topology.components[source].is_spout:
+            self.metrics.record_batch(source, task_index)
+            if observer is not None:
+                # a new source batch starts a new trace
+                observer.on_execute(source, task_index, len(emissions),
+                                    seconds)
+                ctx = observer.root(source, task_index, len(emissions),
+                                    seconds)
+        trace = observer is not None and observer.trace
+        self._drain(stack, [ctx] * len(items) if trace else None)
 
     def flush_bolts(self):
         """Run every bolt's ``finish()`` in topological order (end of
         stream): upstream components finish before downstream ones, so a
         snapshot aggregation flushes only after all its input arrived."""
-        observer = self._observer
-        stack: List[_WorkItem] = []
-        ctx_stack: Optional[list] = \
-            [] if (observer is not None and observer.trace) else None
         for name in self.topology.topological_order():
-            spec = self.topology.components[name]
-            if spec.is_spout:
-                continue
-            for task_index, bolt in enumerate(self._tasks[name]):
-                emissions = bolt.finish()
-                if not emissions:
-                    continue
-                self.metrics.record_emit(name, task_index, len(emissions))
-                items = self._route_emissions(name, emissions)
-                self._push(stack, items)
-                if ctx_stack is not None:
-                    # flush emissions are end-of-stream punctuations, not
-                    # part of any source batch's trace
-                    ctx_stack.extend([None] * len(items))
-                self._drain(stack, ctx_stack)
+            if not self.topology.components[name].is_spout:
+                for task_index, bolt in enumerate(self._tasks[name]):
+                    self.inject(name, bolt.finish(), task_index)
 
     # -- work queue --------------------------------------------------------
 
@@ -305,23 +283,16 @@ class LocalCluster:
         metrics = self.metrics
         observer = self._observer
         trace = ctx_stack is not None
+        record = None if observer is None else observer.on_execute
         while stack:
             target, task, source, stream, rows = stack.pop()
             ctx = ctx_stack.pop() if trace else None
-            metrics.record_receive(source, target, task, len(rows))
-            metrics.record_batch(target, task)
-            metrics.record_path(isinstance(rows, ColumnBatch), len(rows))
-            bolt: Bolt = tasks[target][task]
             if observer is not None:
                 observer.on_queue_depth("inline", len(stack) + 1)
-                started = time.perf_counter()
-            emissions = bolt.execute_batch(source, stream, rows)
-            if observer is not None:
-                elapsed = time.perf_counter() - started
-                observer.on_execute(target, task, len(rows), elapsed)
-                child = observer.span(ctx, target, task, len(rows), elapsed)
+            emissions, child = execute_hop(
+                metrics, tasks[target][task], target, task, source, stream,
+                rows, observer, record, ctx)
             if emissions:
-                metrics.record_emit(target, task, len(emissions))
                 items = self._route_emissions(target, emissions)
                 self._push(stack, items)
                 if trace:

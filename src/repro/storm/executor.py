@@ -31,6 +31,14 @@ is reproducible; result *multisets* and per-component totals are identical
 across backends, only the tuple interleaving differs (the operators are
 order-insensitive up to the final multiset, exactly as for ``batch_size``
 in the inline loop).
+
+Every executor -- the inline loop, the staged and resident workers and
+the streaming coordinator's sink tasks -- executes and accounts for a
+delivered micro-batch in one place, :func:`execute_hop`.  Workers count
+on a :class:`~repro.storm.metrics.TopologyMetrics` of their own and
+ship it, drained, with every reply (the *worker delta*, see
+:func:`drain_deltas`); the coordinator adds it to the cluster's counters
+with :meth:`TopologyMetrics.merge`.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions
 from repro.obs import WorkerObs
+from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Topology, TopologyError
 
 #: one routed unit of work: rows of `stream` (emitted by `source`)
@@ -55,6 +64,13 @@ EXECUTOR_NAMES = ("inline", "processes")
 
 class ExecutorError(RuntimeError):
     """A parallel backend could not run the topology."""
+
+
+def check_executor(name: str):
+    """Refuse an executor name neither engine implements."""
+    if name not in EXECUTOR_NAMES:
+        raise ExecutorError(
+            f"unknown executor {name!r}: must be one of {EXECUTOR_NAMES}")
 
 
 class WorkerDied(ExecutorError):
@@ -233,39 +249,45 @@ class Router:
                 items.append((edge.target, target_task, source, stream, sub_rows))
 
 
+def execute_hop(metrics: TopologyMetrics, bolt, target: str, task: int,
+                source: str, stream: str, rows, obs=None, record=None,
+                ctx=None):
+    """Execute one delivered micro-batch at task ``task`` of ``target``;
+    returns ``(emissions, child span context)``.
+
+    Counts the receive, the batch, the execution path and the emissions
+    on ``metrics``.  Under an observer ``obs`` (an Observer, or a
+    worker's WorkerObs) it also times the batch, hands the time to
+    ``record`` -- that observer's own recording method -- and records a
+    span under ``ctx``; without one the child context is None.
+    """
+    metrics.record_receive(source, target, task, len(rows))
+    metrics.record_batch(target, task)
+    metrics.record_path(isinstance(rows, ColumnBatch), len(rows))
+    if obs is None:
+        emissions = bolt.execute_batch(source, stream, rows)
+        child = None
+    else:
+        started = time.perf_counter()
+        emissions = bolt.execute_batch(source, stream, rows)
+        elapsed = time.perf_counter() - started
+        record(target, task, len(rows), elapsed)
+        child = obs.span(ctx, target, task, len(rows), elapsed)
+    if emissions:
+        metrics.record_emit(target, task, len(emissions))
+    return emissions, child
+
+
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: counter deltas one worker accumulated during a wave:
-#: (emits, receives, batches) as lists of argument tuples for
-#: TopologyMetrics, the worker's execution-path counters
-#: [columnar_rows, columnar_batches, row_rows, row_batches], and the
-#: worker's observability payload (a WorkerObs.drain() dict, or None
-#: when the run is unobserved)
-MetricDeltas = Tuple[List[tuple], List[tuple], List[tuple], List[int],
-                     Optional[dict]]
-
-
-def fold_metric_deltas(metrics, observer, deltas: MetricDeltas):
-    """Fold one worker's :data:`MetricDeltas` into the coordinator's
-    :class:`~repro.storm.metrics.TopologyMetrics`, and its observability
-    payload into ``observer`` (None = unobserved, or a recovery replay
-    whose payloads are discarded)."""
-    emits, receives, batches, paths, obs_payload = deltas
-    for name, task_index, count in emits:
-        metrics.record_emit(name, task_index, count)
-    for source, target, task_index, count in receives:
-        metrics.record_receive(source, target, task_index, count)
-    for name, task_index in batches:
-        metrics.record_batch(name, task_index)
-    columnar_rows, columnar_batches, row_rows, row_batches = paths
-    metrics.columnar_rows += columnar_rows
-    metrics.columnar_batches += columnar_batches
-    metrics.row_rows += row_rows
-    metrics.row_batches += row_batches
-    if observer is not None:
-        observer.merge_worker_obs(obs_payload)
+def drain_deltas(state) -> tuple:
+    """A worker's reply delta: what its :class:`TopologyMetrics` counted
+    and its drained observability payload (None when unobserved) since
+    the previous reply."""
+    return (state.metrics.drain(),
+            None if state.obs is None else state.obs.drain())
 
 
 #: routed entries ``(source, stream, rows[, ctx])`` bound for one task,
@@ -291,6 +313,8 @@ class WorkerState:
         #: worker-side observability accumulator (None = observe='off':
         #: the wave loop keeps its exact unobserved shape)
         self.obs = None if observe == "off" else WorkerObs(worker_id, observe)
+        #: what this worker counted since its last reply
+        self.metrics = TopologyMetrics()
         self.is_spout = {
             name: spec.is_spout for name, spec in topology.components.items()
         }
@@ -301,6 +325,8 @@ class WorkerState:
         for (name, task_index), owner in assignment.items():
             if owner == worker_id:
                 self.owned.setdefault(name, {})[task_index] = tasks[name][task_index]
+        for name in self.owned:
+            self.metrics.register(name, topology.components[name].parallelism)
         #: routing targets this worker delivers to itself
         self.local_keys = {
             key for key, owner in assignment.items() if owner == worker_id
@@ -320,7 +346,7 @@ class WorkerState:
     def run_wave(self, wave: int, components: Sequence[str],
                  delivered: Dict[Tuple[str, int], List[Chunk]],
                  ) -> Tuple[Dict[Tuple[str, int], List[tuple]],
-                            Dict[Tuple[str, int], int], MetricDeltas]:
+                            Dict[Tuple[str, int], int], tuple]:
         """Execute one topological level on this worker's owned tasks.
 
         Spout components are drained to exhaustion in ``batch_size``
@@ -331,18 +357,17 @@ class WorkerState:
         Routed items whose target task this worker owns stay here until
         the target's wave; only the others return to the coordinator.
         Returns those remote entries per target task, the number of
-        entries held per task, and the wave's metric deltas.
+        entries held per task, and the worker delta (see
+        :func:`drain_deltas`).
 
         Observed runs also time every batch, and at the trace level
         delivered entries and routed items carry a trailing span context.
         """
         obs = self.obs
         trace = obs is not None and obs.trace
+        record = None if obs is None else obs.record
+        metrics = self.metrics
         out: List[tuple] = []
-        emits: List[tuple] = []
-        receives: List[tuple] = []
-        batches: List[tuple] = []
-        paths = [0, 0, 0, 0]  # columnar rows/batches, row rows/batches
         route = self.router.route
         perf = time.perf_counter
         for name in components:
@@ -361,12 +386,11 @@ class WorkerState:
                             elapsed = perf() - started
                         if not emissions:
                             break
-                        emits.append((name, task_index, len(emissions)))
-                        batches.append((name, task_index))
+                        metrics.record_emit(name, task_index, len(emissions))
+                        metrics.record_batch(name, task_index)
                         items = route(name, emissions)
                         if obs is not None:
-                            obs.record(name, task_index, len(emissions),
-                                       elapsed)
+                            record(name, task_index, len(emissions), elapsed)
                             if trace:
                                 ctx = obs.root(name, task_index,
                                                len(emissions), elapsed)
@@ -382,35 +406,18 @@ class WorkerState:
                 for task_index in sorted(owned):
                     bolt = owned[task_index]
                     for entry in self._inbox((name, task_index), delivered):
-                        if trace:
-                            source, stream, rows, ctx = entry
-                        else:
-                            source, stream, rows = entry
-                        receives.append((source, name, task_index, len(rows)))
-                        batches.append((name, task_index))
-                        if isinstance(rows, ColumnBatch):
-                            paths[0] += len(rows)
-                            paths[1] += 1
-                        else:
-                            paths[2] += len(rows)
-                            paths[3] += 1
-                        if obs is not None:
-                            started = perf()
-                        emissions = bolt.execute_batch(source, stream, rows)
-                        if obs is not None:
-                            elapsed = perf() - started
-                            obs.record(name, task_index, len(rows), elapsed)
-                            child = obs.span(ctx if trace else None, name,
-                                             task_index, len(rows), elapsed)
+                        source, stream, rows = entry[:3]
+                        emissions, child = execute_hop(
+                            metrics, bolt, name, task_index, source, stream,
+                            rows, obs, record, entry[3] if trace else None)
                         if emissions:
-                            emits.append((name, task_index, len(emissions)))
                             items = route(name, emissions)
                             if trace:
                                 items = [item + (child,) for item in items]
                             out.extend(items)
                     emissions = bolt.finish()
                     if emissions:
-                        emits.append((name, task_index, len(emissions)))
+                        metrics.record_emit(name, task_index, len(emissions))
                         items = route(name, emissions)
                         if trace:
                             # flush emissions are punctuations, untraced
@@ -428,8 +435,7 @@ class WorkerState:
                 remote[key] = entries
         held = {key: sum(len(chunk[2]) for chunk in chunks)
                 for key, chunks in self.held.items()}
-        return remote, held, (emits, receives, batches, paths,
-                              None if obs is None else obs.drain())
+        return remote, held, drain_deltas(self)
 
     def exports(self) -> Dict[Tuple[str, int], object]:
         """Final owned task instances, for post-run state extraction."""
@@ -544,8 +550,6 @@ class ProcessExecutor:
             spec.parallelism for spec in cluster.topology.components.values()
         )
         requested = default_parallelism() if parallelism is None else parallelism
-        if requested < 1:
-            raise ExecutorError(f"parallelism must be >= 1, got {requested}")
         self.n_workers = min(requested, n_tasks)
         self.assignment = assign_tasks(cluster.topology, self.n_workers)
         ensure_task_local_routing(cluster.topology, self.name)
@@ -597,8 +601,11 @@ class ProcessExecutor:
                 # barrier: collect every worker's wave in worker-id order;
                 # chunk tags make the merged delivery order deterministic
                 for worker_id, worker in enumerate(workers):
-                    routed, held[worker_id], deltas = self._reply(worker)
-                    fold_metric_deltas(metrics, observer, deltas)
+                    routed, held[worker_id], (delta, obs_payload) = \
+                        self._reply(worker)
+                    metrics.merge(delta)
+                    if observer is not None:
+                        observer.merge_worker_obs(obs_payload)
                     for key, entries in routed.items():
                         pending.setdefault(key, []).append(
                             (wave, worker_id, entries))
@@ -668,6 +675,11 @@ class ResidentWorkerState:
         self.kill_after = sorted(kill_after or [])
         #: worker-side observability accumulator (None = observe='off')
         self.obs = None if observe == "off" else WorkerObs(worker_id, observe)
+        #: what this worker counted since its last reply; each component
+        #: is sized to its highest owned task (merge adds by position)
+        self.metrics = TopologyMetrics()
+        for name, task_index in sorted(owned):
+            self.metrics.register(name, task_index + 1)
 
     def _maybe_die(self):
         if not self.kill_after:
@@ -677,54 +689,33 @@ class ResidentWorkerState:
             os.kill(os.getpid(), signal)  # SIGKILL: never returns
 
     def execute(self, items: List[WorkItem]):
-        """Run delivered batches in order; return raw emissions + metrics.
+        """Run delivered batches in order; return raw emissions and the
+        worker delta (see :func:`drain_deltas`).
 
         Observed workers also time every batch.  Trace-level items carry
         a trailing span context (6-tuples) and trace-level outputs grow a
         trailing child context (4-tuples) so the coordinator can parent
         downstream hops; 'metrics' keeps the off-level wire shapes and
-        only ships timings in the deltas.
+        only ships timings in the delta.
         """
         obs = self.obs
         trace = obs is not None and obs.trace
-        perf = time.perf_counter
+        record = None if obs is None else obs.record
         outputs: List[tuple] = []
-        emits: List[tuple] = []
-        receives: List[tuple] = []
-        batches: List[tuple] = []
-        paths = [0, 0, 0, 0]
         for item in items:
-            if trace:
-                target, task_index, source, stream, rows, ctx = item
-            else:
-                target, task_index, source, stream, rows = item
-            bolt = self.owned[(target, task_index)]
-            receives.append((source, target, task_index, len(rows)))
-            batches.append((target, task_index))
-            if isinstance(rows, ColumnBatch):
-                paths[0] += len(rows)
-                paths[1] += 1
-            else:
-                paths[2] += len(rows)
-                paths[3] += 1
-            if obs is not None:
-                started = perf()
-            emissions = bolt.execute_batch(source, stream, rows)
-            if obs is not None:
-                elapsed = perf() - started
-                obs.record(target, task_index, len(rows), elapsed)
-                child = obs.span(ctx if trace else None, target, task_index,
-                                 len(rows), elapsed)
+            target, task_index, source, stream, rows = item[:5]
+            emissions, child = execute_hop(
+                self.metrics, self.owned[(target, task_index)], target,
+                task_index, source, stream, rows, obs, record,
+                item[5] if trace else None)
             self.batches_executed += 1
             if emissions:
-                emits.append((target, task_index, len(emissions)))
                 if trace:
                     outputs.append((target, task_index, emissions, child))
                 else:
                     outputs.append((target, task_index, emissions))
             self._maybe_die()
-        return outputs, (emits, receives, batches, paths,
-                         None if obs is None else obs.drain())
+        return outputs, drain_deltas(self)
 
     def advance_watermark(self, watermark: float):
         """Apply one watermark punctuation to every owned windowed task."""
@@ -908,8 +899,6 @@ class ResidentWorkerPool:
             for task_index in range(topology.components[name].parallelism)
         ]
         requested = default_parallelism() if parallelism is None else parallelism
-        if requested < 1:
-            raise ExecutorError(f"parallelism must be >= 1, got {requested}")
         self.n_workers = max(1, min(requested, len(worker_keys)))
         #: (component, task_index) -> owning worker id (round-robin)
         self.assignment: Dict[Tuple[str, int], int] = {
@@ -1032,23 +1021,18 @@ class ResidentWorkerPool:
         return replies
 
     def execute(self, per_worker: Dict[int, List[WorkItem]]):
-        """Deliver routed micro-batches; returns (outputs, metric deltas).
+        """Deliver routed micro-batches; returns every reply -- (raw
+        emissions, worker delta) -- in worker-id order.
 
         Workers execute their slices concurrently (each in its own
-        process); outputs are merged in worker-id order so delivery
-        stays deterministic for a fixed assignment.
+        process); the fixed reply order keeps delivery deterministic for
+        a fixed assignment.
         """
         replies = self._command({
             worker_id: ("execute", items)
             for worker_id, items in per_worker.items() if items
         })
-        outputs: List[Tuple[str, int, object]] = []
-        deltas: List[MetricDeltas] = []
-        for worker_id in sorted(replies):
-            worker_outputs, worker_deltas = replies[worker_id]
-            outputs.extend(worker_outputs)
-            deltas.append(worker_deltas)
-        return outputs, deltas
+        return [replies[worker_id] for worker_id in sorted(replies)]
 
     def broadcast_watermark(self, watermark: float):
         """Punctuate every worker; returns merged hook emissions."""
@@ -1094,19 +1078,6 @@ class ResidentWorkerPool:
             })
             for worker_id in self._workers
         })
-
-
-def create_executor(name: str, cluster, parallelism: Optional[int] = None):
-    """Instantiate the staged parallel backend by name ('processes').
-
-    The 'inline' backend is the LocalCluster's own loop and never reaches
-    this factory.
-    """
-    if name != "processes":
-        raise ExecutorError(
-            f"unknown executor {name!r}; choose one of {EXECUTOR_NAMES}"
-        )
-    return ProcessExecutor(cluster, parallelism)
 
 
 def pickle_roundtrip(obj):

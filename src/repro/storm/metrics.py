@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from collections import deque
@@ -21,7 +22,12 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 @dataclass
 class TopologyMetrics:
-    """Per-task and per-edge counters collected by the LocalCluster."""
+    """Per-task and per-edge counters collected by the LocalCluster.
+
+    Shared-nothing workers keep one of their own and ship what it
+    counted with every reply (:meth:`drain`); the coordinator folds
+    that delta into the cluster's counters with :meth:`merge`.
+    """
 
     received: Dict[str, List[int]] = field(default_factory=dict)
     emitted: Dict[str, List[int]] = field(default_factory=dict)
@@ -40,6 +46,9 @@ class TopologyMetrics:
     #: wall-clock seconds of the run that produced these counters (set by
     #: LocalCluster.run); basis for the per-component rows/sec monitor
     elapsed: float = 0.0
+    #: component -> (label of its in-edge groupings, skew possible); set
+    #: by LocalCluster.set_observer for the ``partition_skew`` gauge
+    groupings: Dict[str, Tuple[str, bool]] = field(default_factory=dict)
 
     def register(self, component: str, parallelism: int):
         self.received[component] = [0] * parallelism
@@ -59,6 +68,35 @@ class TopologyMetrics:
         task.  Spout tasks have no ``received`` counters, so this is the
         only per-task activity signal they get."""
         self.batches[component][task] += count
+
+    def merge(self, other: "TopologyMetrics"):
+        """Add ``other``'s counters to these (a worker's reply delta)."""
+        for mine, theirs in ((self.received, other.received),
+                             (self.emitted, other.emitted),
+                             (self.batches, other.batches)):
+            for component, counts in theirs.items():
+                totals = mine[component]
+                for task, count in enumerate(counts):
+                    totals[task] += count
+        for key, count in other.edge_transfers.items():
+            self.edge_transfers[key] = self.edge_transfers.get(key, 0) + count
+        self.columnar_rows += other.columnar_rows
+        self.columnar_batches += other.columnar_batches
+        self.row_rows += other.row_rows
+        self.row_batches += other.row_batches
+
+    def drain(self) -> "TopologyMetrics":
+        """The counters recorded so far; these restart from zero with the
+        same registered components."""
+        delta = dataclasses.replace(self)
+        for name in ("received", "emitted", "batches"):
+            setattr(self, name, {component: [0] * len(counts)
+                                 for component, counts in
+                                 getattr(delta, name).items()})
+        self.edge_transfers = {}
+        self.columnar_rows = self.columnar_batches = 0
+        self.row_rows = self.row_batches = 0
+        return delta
 
     def batch_counts(self, component: str) -> List[int]:
         return list(self.batches.get(component, ()))
@@ -160,9 +198,14 @@ class TopologyMetrics:
                 out.append(("topology_batches_total",
                             {**base, "component": component,
                              "task": str(task)}, float(count), "counter"))
-            if self.component_input(component):
-                out.append(("topology_skew_degree",
-                            {**base, "component": component},
+            # the paper's skew degree, for key-partitioned components only
+            # (a shuffle or broadcast edge is balanced by construction)
+            description, possible = self.groupings.get(
+                component, ("", False))
+            if possible and self.component_input(component):
+                out.append(("partition_skew",
+                            {**base, "component": component,
+                             "grouping": description},
                             self.skew_degree(component), "gauge"))
         out.append(("topology_network_tuples_total", dict(base),
                     float(self.total_network_tuples()), "counter"))

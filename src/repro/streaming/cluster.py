@@ -42,7 +42,7 @@ import math
 import pickle
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.checkpoint import ChangeLog, CheckpointStore
 from repro.checkpoint.log import DATA as _LOG_DATA
@@ -52,14 +52,14 @@ from repro.engine.operators import Projection, Selection
 from repro.obs import Observer
 from repro.storm.cluster import LocalCluster
 from repro.storm.executor import (
-    EXECUTOR_NAMES,
     ExecutorError,
     ResidentWorkerPool,
     Router,
     WorkerDied,
     WorkItem,
+    check_executor,
     ensure_task_local_routing,
-    fold_metric_deltas,
+    execute_hop,
 )
 from repro.storm.failures import FaultInjector
 from repro.storm.metrics import CheckpointMetrics, StreamMetrics
@@ -151,11 +151,7 @@ class StreamingCluster:
         options = (options or ExecutionOptions()).resolve(
             default_batch_size=64)
         batch_size, executor = options.batch_size, options.executor
-        if executor not in EXECUTOR_NAMES:
-            raise ExecutorError(
-                f"unknown streaming executor {executor!r}; choose one of "
-                f"{EXECUTOR_NAMES}"
-            )
+        check_executor(executor)
         spout_names = sorted(
             name for name, spec in topology.components.items() if spec.is_spout
         )
@@ -202,6 +198,10 @@ class StreamingCluster:
             pump.source.has_event_time() for pump in self._pumps.values()
         )
         self._finished_sources: set = set()
+        #: the pumps the current round has yet to poll; a round cut short
+        #: by a worker death resumes after the pump whose batch the
+        #: recovery replayed, so the sources interleave as without it
+        self._round: Optional[Iterator[Tuple[str, SourcePump]]] = None
         self._final_watermarks: List[float] = []
         self._broadcast_wm: Optional[float] = None
         self._done = threading.Event()
@@ -318,7 +318,7 @@ class StreamingCluster:
             time.sleep(self.idle_sleep)
         return self.done
 
-    # -- inline executor ---------------------------------------------------
+    # -- the pump round ----------------------------------------------------
 
     def step(self) -> bool:
         """One pump round; returns whether any progress was made.
@@ -327,80 +327,155 @@ class StreamingCluster:
         batch to quiescence, then -- at the quiescent point, where no
         data is in flight anywhere -- advances the merged watermark and
         finally flushes the topology once all sources are exhausted.
+        Under ``processes`` source batches are logged before dispatch, a
+        checkpoint commits every ``checkpoint_interval`` rounds, and a
+        worker death (EOF on a pipe, the liveness sweep) abandons the
+        round for the recovery protocol.
         """
-        if self.executor == "processes":
-            return self._step_processes()
         if self.done:
             return False
-        if self._stop.is_set():
-            # forced teardown: stop polling, flush so subscriptions get
-            # their final deltas and close, and declare the query done
-            self.cluster.flush_bolts()
-            self._done.set()
-            return True
-        progressed = False
-        cluster = self.cluster
-        for name, pump in self._pumps.items():
-            if name in self._finished_sources:
-                continue
-            emissions = pump.poll(self.batch_size)
-            if pump.last_poll_raw:
-                progressed = True  # even a fully filtered batch advanced
-            if emissions:
-                self.stats.record_events(
-                    len(emissions), pump.source.max_event_time)
-                cluster.inject(name, emissions)
-            if pump.exhausted():
-                # also reached by sources that were empty to begin with:
-                # they must still mark themselves done, or the merged
-                # watermark stays undefined for the whole run.  The final
-                # watermark is recorded first -- it covers the last batch.
+        processes = self.executor == "processes"
+        if processes:
+            self._ensure_pool()
+        try:
+            if processes:
+                dead = self._pool.reap_dead()
+                if dead:
+                    raise WorkerDied(dead)
+            if self._stop.is_set():
+                # forced teardown: stop polling, flush so subscriptions
+                # get their final deltas and close, and declare it done
+                self._flush()
+                return True
+            progressed = False
+            if self._round is None:
+                self._round = iter(self._pumps.items())
+            for name, pump in self._round:
+                if name in self._finished_sources:
+                    continue
+                emissions = pump.poll(self.batch_size)
+                if pump.last_poll_raw:
+                    progressed = True  # even a fully filtered batch advanced
+                if pump.exhausted():
+                    # also reached by sources that were empty to begin
+                    # with: they must still mark themselves done, or the
+                    # merged watermark stays undefined for the whole run.
+                    # The final watermark is recorded first -- it covers
+                    # the last batch.
+                    progressed = True
+                    watermark = pump.watermark()
+                    if watermark is not None and watermark != math.inf:
+                        self._source_wm.update(name, watermark)
+                        self._final_watermarks.append(watermark)
+                    self._finished_sources.add(name)
+                    self._source_wm.mark_done(name)
+                else:
+                    watermark = pump.watermark()
+                    if watermark is not None:
+                        self._source_wm.update(name, watermark)
+                if emissions:
+                    self.stats.record_events(
+                        len(emissions), pump.source.max_event_time)
+                    if processes:
+                        # logged before dispatch: if a worker dies
+                        # mid-delivery, the replay re-applies this batch
+                        # to the restored state
+                        self._log.record_data(name, emissions)
+                        self._inject_processes(name, emissions)
+                    else:
+                        self.cluster.inject(name, emissions)
+            self._round = None
+            if self._event_time and self._advance_watermark(
+                    self._source_wm.merged()):
                 progressed = True
-                watermark = pump.watermark()
-                if watermark is not None and watermark != math.inf:
-                    self._source_wm.update(name, watermark)
-                    self._final_watermarks.append(watermark)
-                self._finished_sources.add(name)
-                self._source_wm.mark_done(name)
-            else:
-                watermark = pump.watermark()
-                if watermark is not None:
-                    self._source_wm.update(name, watermark)
-        if self._event_time and self._advance_watermark(
-                self._source_wm.merged()):
-            progressed = True
-        if len(self._finished_sources) == len(self._pumps):
-            if self._event_time and self._final_watermarks:
-                # all promises are in: catch windows up to the final
-                # watermark before the flush (same rows either way; this
-                # also settles stats -- lag reaches its true final value)
-                self._advance_watermark(min(self._final_watermarks))
-            cluster.flush_bolts()  # DeltaSink.finish closes subscriptions
-            self._done.set()
-            progressed = True
-        return progressed
+            if len(self._finished_sources) == len(self._pumps):
+                self._flush()
+                return True
+            if processes:
+                self._rounds_since_checkpoint += 1
+                if (progressed and self._log and self._rounds_since_checkpoint
+                        >= self.checkpoint_interval):
+                    self._checkpoint()
+            return progressed
+        except WorkerDied as death:
+            self._recover(death.worker_ids)
+            return True
 
-    def _advance_watermark(self, merged: Optional[float]) -> bool:
+    def _advance_watermark(self, merged: Optional[float],
+                           replay: bool = False) -> bool:
         """Broadcast a *finite* watermark advance to every windowed task.
 
         ``inf`` (no live input constrains event time) is never used to
         expire windows: end-of-stream closure is the flush's job, and
         expiring the trailing sliding window early would diverge from the
-        batch engine's final snapshot."""
+        batch engine's final snapshot.
+
+        Under ``processes`` the advance is logged *before* the broadcast,
+        so a worker that dies mid-fanout still sees the punctuation once
+        -- global restore rewinds the survivors that already applied it,
+        and the replay re-delivers it to everyone."""
         if merged is None or merged == math.inf:
             return False
         if self._broadcast_wm is not None and merged <= self._broadcast_wm:
             return False
         self._broadcast_wm = merged
         self.stats.record_watermark(merged)
-        for name, task_index, task in self._bolt_tasks:
-            hook = getattr(task, "advance_watermark", None)
-            if hook is None:
-                continue
-            emissions = hook(merged)
-            if emissions:
-                self.cluster.inject(name, emissions, task_index=task_index)
+        if self.executor == "inline":
+            for name, task_index, task in self._bolt_tasks:
+                hook = getattr(task, "advance_watermark", None)
+                if hook is None:
+                    continue
+                emissions = hook(merged)
+                if emissions:
+                    self.cluster.inject(name, emissions,
+                                        task_index=task_index)
+            return True
+        if not replay:
+            self._log.record_watermark(merged)
+        expirations = []
+        for component, task_index, emissions in \
+                self._pool.broadcast_watermark(merged):
+            self.metrics.record_emit(component, task_index, len(emissions))
+            expirations.append((component, emissions, None))
+        if expirations:
+            self._drive_processes(expirations, replay=replay)
         return True
+
+    def _flush(self):
+        """End of stream (or a forced stop): final punctuation, then
+        every bolt's flush.
+
+        Windows first catch up to the finished sources' final watermark
+        (same rows either way; this also settles stats -- lag reaches
+        its true final value).  Under ``processes`` a checkpoint right
+        before the flush makes the flush itself recoverable: a worker
+        killed mid-finish rolls everything back to this barrier (empty
+        change log) and the flush simply reruns.
+        """
+        if self._event_time and self._final_watermarks:
+            self._advance_watermark(min(self._final_watermarks))
+        if self.executor == "inline":
+            self.cluster.flush_bolts()  # DeltaSink.finish closes subscriptions
+            self._done.set()
+            return
+        self._checkpoint()
+        for name in self.topology.topological_order():
+            spec = self.topology.components[name]
+            if spec.is_spout:
+                continue
+            if name in self._coordinator_owned:
+                outputs = [(name, task_index,
+                            self._local_tasks[(name, task_index)].finish())
+                           for task_index in range(spec.parallelism)]
+            else:
+                outputs = self._pool.finish_component(name)
+            for component, task_index, emissions in outputs:
+                if emissions:
+                    self.metrics.record_emit(
+                        component, task_index, len(emissions))
+                    self._drive_processes([(component, emissions, None)])
+        self._done.set()
+        self._pool.stop()
 
     # -- processes executor: resident workers + checkpoint/recovery --------
 
@@ -428,79 +503,18 @@ class StreamingCluster:
         self._pool = pool
         self._checkpoint()
 
-    def _step_processes(self) -> bool:
-        """One coordinator round: poll -> log -> dispatch -> punctuate ->
-        checkpoint, with crash recovery wrapped around the whole round.
-
-        Any worker death detected mid-round (EOF on a pipe, a liveness
-        sweep) abandons the round and runs the recovery protocol; the
-        change log guarantees nothing injected this round is lost and
-        nothing already checkpointed is applied twice.
-        """
-        if self.done:
-            return False
-        self._ensure_pool()
-        try:
-            dead = self._pool.reap_dead()
-            if dead:
-                raise WorkerDied(dead)
-            return self._step_processes_round()
-        except WorkerDied as death:
-            self._recover(death.worker_ids)
-            return True
-
-    def _step_processes_round(self) -> bool:
-        if self._stop.is_set():
-            self._flush_processes()
-            return True
-        progressed = False
-        for name, pump in self._pumps.items():
-            if name in self._finished_sources:
-                continue
-            emissions = pump.poll(self.batch_size)
-            if pump.last_poll_raw:
-                progressed = True
-            if emissions:
-                self.stats.record_events(
-                    len(emissions), pump.source.max_event_time)
-                # logged before dispatch: if a worker dies mid-delivery,
-                # the replay re-applies this batch to the restored state
-                self._log.record_data(name, emissions)
-                self._inject_processes(name, emissions)
-            if pump.exhausted():
-                progressed = True
-                watermark = pump.watermark()
-                if watermark is not None and watermark != math.inf:
-                    self._source_wm.update(name, watermark)
-                    self._final_watermarks.append(watermark)
-                self._finished_sources.add(name)
-                self._source_wm.mark_done(name)
-            else:
-                watermark = pump.watermark()
-                if watermark is not None:
-                    self._source_wm.update(name, watermark)
-        if self._event_time and self._advance_watermark_processes(
-                self._source_wm.merged()):
-            progressed = True
-        if len(self._finished_sources) == len(self._pumps):
-            self._flush_processes()
-            return True
-        self._rounds_since_checkpoint += 1
-        if (progressed and self._log
-                and self._rounds_since_checkpoint >= self.checkpoint_interval):
-            self._checkpoint()
-        return progressed
-
     def _inject_processes(self, source: str, emissions: Sequence[Emission],
                           replay: bool = False):
-        """Route one source batch and drive it to quiescence."""
+        """Route one source batch and drive it to quiescence.
+
+        A recovery replay counts the batch again (the counters were
+        rewound with the checkpoint) but starts no new trace."""
         ctx = None
-        if not replay:
-            self.metrics.record_emit(source, 0, len(emissions))
-            self.metrics.record_batch(source, 0)
-            if self.observer is not None:
-                self.observer.on_execute(source, 0, len(emissions), 0.0)
-                ctx = self.observer.root(source, 0, len(emissions), 0.0)
+        self.metrics.record_emit(source, 0, len(emissions))
+        self.metrics.record_batch(source, 0)
+        if not replay and self.observer is not None:
+            self.observer.on_execute(source, 0, len(emissions), 0.0)
+            ctx = self.observer.root(source, 0, len(emissions), 0.0)
         self._drive_processes([(source, emissions, ctx)], replay=replay)
 
     def _drive_processes(self,
@@ -518,13 +532,15 @@ class StreamingCluster:
         Pending entries carry the parent span context (None when
         unobserved or for untraced punctuations).  During a recovery
         replay contexts are withheld and worker obs payloads discarded,
-        so a replayed batch never duplicates spans or timings.
+        so a replayed batch never duplicates spans or timings; its
+        counters are recorded again on top of the rewound ones.
         """
         metrics = self.metrics
         coalesce = self.batch_size > 1
         # wire shape is set by the *pool's* level (workers unpack trace
         # items as 6-tuples even during replay); recording is not
         observer = None if replay else self.observer
+        record = None if observer is None else observer.on_execute
         trace = self.observer is not None and self.observer.trace
         while pending:
             per_worker: Dict[int, List[tuple]] = {}
@@ -545,99 +561,32 @@ class StreamingCluster:
                     "processes",
                     sum(len(items) for items in per_worker.values())
                     + len(local))
-            if per_worker:
-                outputs, deltas = self._pool.execute(per_worker)
-                for worker_deltas in deltas:
-                    fold_metric_deltas(metrics, observer, worker_deltas)
+            replies = self._pool.execute(per_worker) if per_worker else []
+            for outputs, (delta, obs_payload) in replies:
+                metrics.merge(delta)
+                if observer is not None:
+                    observer.merge_worker_obs(obs_payload)
                 if trace:
-                    for component, task_index, emissions, child in outputs:
+                    for component, _task, emissions, child in outputs:
                         pending.append((component, emissions, child))
                 else:
-                    for component, task_index, emissions in outputs:
+                    for component, _task, emissions in outputs:
                         pending.append((component, emissions, None))
             for item, ctx in local:
                 target, task_index, source, stream, rows = item
-                metrics.record_receive(source, target, task_index, len(rows))
-                metrics.record_batch(target, task_index)
-                metrics.record_path(isinstance(rows, ColumnBatch), len(rows))
-                task = self._local_tasks[(target, task_index)]
-                if observer is not None:
-                    started = time.perf_counter()
-                    emissions = task.execute_batch(source, stream, rows)
-                    elapsed = time.perf_counter() - started
-                    observer.on_execute(target, task_index, len(rows), elapsed)
-                    child = observer.span(
-                        ctx, target, task_index, len(rows), elapsed)
-                else:
-                    emissions = task.execute_batch(source, stream, rows)
-                    child = None
+                emissions, child = execute_hop(
+                    metrics, self._local_tasks[(target, task_index)], target,
+                    task_index, source, stream, rows, observer, record, ctx)
                 if emissions:
-                    metrics.record_emit(target, task_index, len(emissions))
                     pending.append((target, emissions, child))
-
-    def _advance_watermark_processes(self, merged: Optional[float],
-                                     replay: bool = False) -> bool:
-        """Broadcast a finite watermark advance to every worker.
-
-        Same monotone/finite guards as the inline executor; the advance
-        is logged *before* the broadcast, so a worker that dies mid-fanout
-        still sees the punctuation once -- global restore rewinds the
-        survivors that already applied it, and the replay re-delivers it
-        to everyone.
-        """
-        if merged is None or merged == math.inf:
-            return False
-        if self._broadcast_wm is not None and merged <= self._broadcast_wm:
-            return False
-        self._broadcast_wm = merged
-        self.stats.record_watermark(merged)
-        if not replay:
-            self._log.record_watermark(merged)
-        outputs = self._pool.broadcast_watermark(merged)
-        expirations = []
-        for component, task_index, emissions in outputs:
-            self.metrics.record_emit(component, task_index, len(emissions))
-            expirations.append((component, emissions, None))
-        if expirations:
-            self._drive_processes(expirations, replay=replay)
-        return True
-
-    def _flush_processes(self):
-        """End of stream: final punctuation, pre-flush checkpoint, flush.
-
-        The checkpoint right before the flush makes the flush itself
-        recoverable: a worker killed mid-finish rolls everything back to
-        this barrier (empty change log) and the flush simply reruns.
-        """
-        if self._event_time and self._final_watermarks:
-            self._advance_watermark_processes(min(self._final_watermarks))
-        self._checkpoint()
-        for name in self.topology.topological_order():
-            if self.topology.components[name].is_spout:
-                continue
-            if name in self._coordinator_owned:
-                for task_index in range(
-                        self.topology.components[name].parallelism):
-                    emissions = self._local_tasks[(name, task_index)].finish()
-                    if emissions:
-                        self.metrics.record_emit(
-                            name, task_index, len(emissions))
-                        self._drive_processes([(name, emissions, None)])
-            else:
-                for component, task_index, emissions in \
-                        self._pool.finish_component(name):
-                    self.metrics.record_emit(
-                        component, task_index, len(emissions))
-                    self._drive_processes([(component, emissions, None)])
-        self._done.set()
-        self._pool.stop()
 
     # -- checkpoint/recovery protocol --------------------------------------
 
     def _coordinator_blob(self) -> bytes:
         """The coordinator's own state for a manifest: sink multisets,
-        the broadcast watermark, and the router's mutable grouping state
-        (shuffle cursors) -- everything the replay path needs rewound."""
+        the broadcast watermark, the router's mutable grouping state
+        (shuffle cursors) and the topology counters -- everything the
+        replay path needs rewound."""
         return pickle.dumps({
             "sinks": {
                 key: task.counts_snapshot()
@@ -646,6 +595,7 @@ class StreamingCluster:
             },
             "wm": self._broadcast_wm,
             "router": self._proc_router.routing_state(),
+            "metrics": self.metrics,
         }, protocol=pickle.HIGHEST_PROTOCOL)
 
     def _checkpoint(self):
@@ -708,6 +658,10 @@ class StreamingCluster:
             self._local_tasks[key].rollback(counts)
         self._broadcast_wm = coordinator["wm"]
         self._proc_router.restore_routing_state(coordinator["router"])
+        # rewind the counters in place: the observer's collector reads
+        # this very object
+        self.metrics.drain()
+        self.metrics.merge(coordinator["metrics"])
         replayed_entries = replayed_rows = 0
         for entry in self._log.replay():
             if entry[0] == _LOG_DATA:
@@ -716,6 +670,6 @@ class StreamingCluster:
                 replayed_rows += len(emissions)
                 self._inject_processes(source, emissions, replay=True)
             else:
-                self._advance_watermark_processes(entry[1], replay=True)
+                self._advance_watermark(entry[1], replay=True)
         self.checkpoints.record_recovery(list(respawned), replayed_entries,
                                          replayed_rows)

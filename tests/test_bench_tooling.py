@@ -89,3 +89,36 @@ def test_bench_cli_help_exits_cleanly(args, capsys):
         main(args)
     assert exc.value.code == 0
     assert "speedup" in capsys.readouterr().out
+
+
+def _attribute(owner, attr):
+    """What the tracer replaces: a class's own attribute (so a method
+    inherited under the wrapped name does not count) or a module global."""
+    return owner.__dict__[attr] if isinstance(owner, type) \
+        else getattr(owner, attr)
+
+
+def test_perfbench_layers_still_find_the_attributes_they_wrap():
+    """The traced benchmark wraps program functions by name; renaming
+    one must fail here, not only in the traced bench run."""
+    from perfbench import layers
+    from perfbench.trace import Tracer
+
+    tracer = Tracer()
+    originals = {}
+    try:
+        layers.install(tracer)
+        for owner, attr, raw in tracer._installed:
+            originals.setdefault((owner, attr), raw)
+            assert _attribute(owner, attr) is not raw, (owner, attr)
+    finally:
+        tracer.uninstall()
+    wrapped = {(getattr(owner, "__name__", owner), attr)
+               for owner, attr in originals}
+    assert {("Observer", "on_execute"), ("WorkerObs", "record"),
+            ("StreamingCluster", "step"), ("_ProcessWorker", "send"),
+            ("ResidentWorker", "send"),
+            ("repro.storm.executor", "worker_loop"),
+            ("repro.storm.executor", "resident_worker_loop")} <= wrapped
+    for (owner, attr), raw in originals.items():
+        assert _attribute(owner, attr) is raw, (owner, attr)

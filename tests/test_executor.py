@@ -32,7 +32,6 @@ from repro.storm.executor import (
     Router,
     WorkerDied,
     assign_tasks,
-    create_executor,
     default_parallelism,
     topological_levels,
 )
@@ -145,8 +144,9 @@ class TestErrors:
 
     def test_zero_parallelism_rejected(self):
         topology, _sink = diamond_topology()
-        with pytest.raises(ExecutorError, match="parallelism"):
-            create_executor("processes", LocalCluster(topology), parallelism=0)
+        with pytest.raises(ValueError, match="parallelism"):
+            LocalCluster(topology).run(options=ExecutionOptions(
+                executor="processes", parallelism=0))
 
     def test_max_tuples_needs_inline(self):
         topology, _sink = diamond_topology()

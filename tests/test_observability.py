@@ -46,6 +46,7 @@ from repro.obs import (
 from repro.obs.prometheus import parse, render
 from repro.serving import DeltaServer
 from repro.storm.failures import FaultInjector
+from repro.storm.metrics import TopologyMetrics
 from repro.streaming import stream_plan
 from tests.batching_plans import (
     plan_online_agg,
@@ -313,16 +314,23 @@ class TestObserver:
         assert hist.count == 1
 
     def test_skew_gauge_skips_balanced_groupings(self):
-        observer = Observer("metrics")
-        observer.set_groupings({"J": ("the hash partitioner", True),
-                                "sink": ("GlobalGrouping", False)})
+        metrics = TopologyMetrics()
+        metrics.register("R", 1)
+        metrics.register("J", 2)
+        metrics.register("sink", 1)
+        metrics.groupings = {"J": ("the hash partitioner", True),
+                             "sink": ("GlobalGrouping", False)}
+        metrics.record_emit("R", 0, 40)
         for task, rows in enumerate((30, 10)):
-            observer.on_execute("J", task, rows, 0.001)
-        observer.on_execute("sink", 0, 40, 0.001)
+            metrics.record_receive("R", "J", task, rows)
+        metrics.record_receive("J", "sink", 0, 40)
+        observer = Observer("metrics")
+        observer.registry.register_collector(metrics.collect)
         skews = {labels["component"]: (labels["grouping"], value)
                  for name, labels, value, _kind in observer.registry.samples()
                  if name == "partition_skew"}
         assert "sink" not in skews  # balanced by construction
+        assert "R" not in skews  # a spout has no in-edge to skew
         grouping, value = skews["J"]
         assert grouping == "the hash partitioner"
         assert value == pytest.approx(30 / 20)
@@ -519,10 +527,10 @@ class TestProfileAndSkew:
                                      observe="metrics")).run()
         samples = query.observer.registry.samples()
 
-        # per-task routed-row counters for the joiner, multiple tasks
+        # per-task received-row counters for the joiner, multiple tasks
         routed = {labels["task"]: value
                   for name, labels, value, _kind in samples
-                  if name == "routed_rows_total"
+                  if name == "topology_rows_received_total"
                   and labels.get("component") == "J"}
         assert len(routed) > 1
         assert sum(routed.values()) > 0
@@ -534,6 +542,7 @@ class TestProfileAndSkew:
         grouping, skew = skews["J"]
         assert "partitioner" in grouping
         assert skew > 1.0
+        assert not {"R", "S", "T"} & set(skews)  # spouts report no skew
 
         # per-operator batch latency histograms back the profile
         hist = query.observer.registry.merged_histogram(

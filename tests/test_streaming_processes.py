@@ -31,6 +31,7 @@ from tests.batching_plans import (
     plan_snapshot_agg,
     plan_two_joins,
 )
+from tests.test_observability import counter_fingerprint
 
 
 def batch_snapshot(plan):
@@ -152,6 +153,21 @@ class TestKillRecovery:
         stats = query.checkpoint_stats()
         assert stats["recoveries"] >= 1
         assert query.snapshot() == expected
+
+    @pytest.mark.parametrize("component,task_index", KILL_ROLES)
+    def test_recovered_run_counts_like_a_crash_free_run(
+            self, component, task_index):
+        """Replayed deliveries are counted once: the counters are rewound
+        with the checkpoint, so the monitors read after a kill match."""
+        options = processes_options(batch_size=8, checkpoint_interval=50)
+        crash_free = stream_plan(plan_snapshot_agg(), options=options).run()
+        injector = FaultInjector().kill_worker_of(
+            component, task_index, after_batches=5)
+        recovered = stream_plan(plan_snapshot_agg(), options=options,
+                                fault_injector=injector).run()
+        assert recovered.checkpoint_stats()["recoveries"] >= 1
+        assert counter_fingerprint(recovered.cluster.metrics) == \
+            counter_fingerprint(crash_free.cluster.metrics)
 
     def test_two_workers_killed_in_one_run(self):
         expected = batch_snapshot(plan_snapshot_agg())
